@@ -279,11 +279,15 @@ def stats(input_csv, out_csv):
             writer.writerows(rows)
 
 
-def run():
+def run(args=None):
     try:
-        main(standalone_mode=False)
+        main(args=args, standalone_mode=False)
     except WmhsegError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except MemoryError as exc:
+        # numpy raises a private MemoryError subclass; report the public name.
+        print(f"ERROR MemoryError: {exc}", file=sys.stderr)
         sys.exit(2)
     except click.ClickException as exc:
         exc.show()

@@ -44,19 +44,21 @@ def ensemble_predict(models, spec, samples: np.ndarray) -> np.ndarray:
     """Voxelwise mean of the per-model probability maps.
 
     ``models`` is a list of weight sets matching ``spec``; ``samples`` is
-    (N, C, H, W).  Spatial dims not divisible by the pooling factor are
-    zero-padded for the network and cropped back afterwards.  Returns
-    (N, H, W) float probabilities.
+    (N, C, H, W).  Each model sees one slice at a time, so peak memory does
+    not grow with the slice count.  Spatial dims not divisible by the pooling
+    factor are zero-padded for the network and cropped back afterwards.
+    Returns (N, H, W) float probabilities.
     """
     if not models:
         raise ContractError("ensemble needs at least one model")
-    padded, (h, w) = _pad_to_multiple(np.asarray(samples))
-    total = None
-    for weights in models:
-        pred = forward(spec, weights, padded).astype(np.float64)
-        total = pred if total is None else total + pred
-    mean = total / len(models)
-    return mean[:, :h, :w]
+    samples = np.asarray(samples)
+    n, _, h, w = samples.shape
+    total = np.zeros((n, h, w))
+    for z in range(n):
+        padded, _ = _pad_to_multiple(samples[z : z + 1])
+        for weights in models:
+            total[z] += forward(spec, weights, padded)[0, :h, :w]
+    return total / len(models)
 
 
 def threshold_map(prob: np.ndarray | Volume3D, threshold: float,

@@ -1,51 +1,89 @@
 """Numpy forward/backward primitives for the 2D segmentation network.
 
-All tensors are (N, C, H, W).  Convolutions are same-padded, implemented via
-im2col + matmul; col2im in the backward pass is vectorized over the k*k
-kernel offsets instead of per-pixel scatter.
+All tensors are (N, C, H, W) at the function boundary.  Convolutions are
+same-padded and column-free: the input is copied once into a zero-padded
+channels-last buffer, and each of the k*k kernel offsets is one GEMM over a
+shifted contiguous window of that buffer, accumulated into a single output
+(the k^2-GEMM or "kn2row" form).  No im2col buffer is built, and the backward
+pass needs only the padded input.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _pad_nhwc(x, pad, dtype):
+    """(N, C, H, W) -> zero-padded channels-last (N, H+2p, W+2p, C) copy."""
+    n, c, h, width = x.shape
+    xp = np.zeros((n, h + 2 * pad, width + 2 * pad, c), dtype=dtype)
+    xp[:, pad : pad + h, pad : pad + width] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _shift_accumulate(src, taps):
+    """Sum over kernel offsets (i, j) of the shifted window of ``src`` times
+    ``taps[i, j]``.
+
+    ``src`` is a padded (N, Hp, Wp, Cin) buffer and ``taps`` (k, k, Cin, Cout).
+    Row r of the flattened buffer is pixel (n, y, x); offset (i, j) reads row
+    r + i*Wp + j, so each offset is one contiguous GEMM.  Output pixel (y, x)
+    is exact for y < Hp - k + 1 and x < Wp - k + 1; the rest is junk the
+    caller crops.  Returns (N, Hp, Wp, Cout).
+    """
+    n, hp, wp, cin = src.shape
+    k = taps.shape[0]
+    flat = src.reshape(-1, cin)
+    rows = flat.shape[0] - (k - 1) * (wp + 1)
+    out = np.zeros((flat.shape[0], taps.shape[3]), dtype=np.result_type(src, taps))
+    acc = out[:rows]
+    for i in range(k):
+        for j in range(k):
+            off = i * wp + j
+            acc += flat[off : off + rows] @ taps[i, j]
+    return out.reshape(n, hp, wp, -1)
 
 
 def conv2d_forward(x, w, b):
     """Same-padded 2D convolution (cross-correlation).
 
-    x: (N, C, H, W); w: (F, C, k, k); b: (F,).  Returns (y, cache).
+    x: (N, C, H, W); w: (F, C, k, k); b: (F,).  Returns (y, cache); the
+    cache is the padded channels-last input.
     """
-    n, c, h, width = x.shape
+    _, _, h, width = x.shape
+    k = w.shape[2]
+    xp = _pad_nhwc(x, k // 2, np.result_type(x, w))
+    out = _shift_accumulate(xp, w.transpose(2, 3, 1, 0))
+    y = np.ascontiguousarray(out[:, :h, :width].transpose(0, 3, 1, 2))
+    y += b[:, None, None]
+    return y, xp
+
+
+def conv2d_backward(dy, w, xp):
+    """Gradients for conv2d_forward, given its cache ``xp``. Returns (dx, dw, db)."""
+    _, _, wp, c = xp.shape
     f, _, k, _ = w.shape
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N, C, H, W, k, k)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * width, c * k * k)
-    cols = np.ascontiguousarray(cols)
-    y = cols @ w.reshape(f, -1).T + b
-    y = y.reshape(n, h, width, f).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(y), (cols, x.shape, w.shape)
+    h, width = dy.shape[2:]
 
+    db = dy.sum(axis=(0, 2, 3))
+    # dx is the forward conv of the padded dy with the flipped kernel.
+    dyp = _pad_nhwc(dy, pad, dy.dtype)
+    dx = _shift_accumulate(dyp, w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))
+    dx = np.ascontiguousarray(dx[:, :h, :width].transpose(0, 3, 1, 2))
 
-def conv2d_backward(dy, w, cache):
-    """Gradients for conv2d_forward. Returns (dx, dw, db)."""
-    cols, x_shape, w_shape = cache
-    n, c, h, width = x_shape
-    f, _, k, _ = w_shape
-    pad = k // 2
-
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(n * h * width, f)
-    dw = (dy_mat.T @ cols).reshape(w_shape)
-    db = dy_mat.sum(axis=0)
-
-    dcols = dy_mat @ w.reshape(f, -1)  # (N*H*W, C*k*k)
-    dcols = dcols.reshape(n, h, width, c, k, k)
-    dxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad), dtype=dy.dtype)
+    # dw[:, :, i, j] pairs output pixel r (stored at row r + pad*(Wp+1) of the
+    # padded dy) with input row r + i*Wp + j; dy's zero border masks the rest.
+    dflat = dyp.reshape(-1, f)
+    xflat = xp.reshape(-1, c)
+    rows = xflat.shape[0] - (k - 1) * (wp + 1)
+    start = pad * (wp + 1)
+    dsrc = dflat[start : start + rows].T
+    dw = np.empty(w.shape, dtype=np.result_type(dy, xp))
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i : i + h, j : j + width] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    dx = dxp[:, :, pad : pad + h, pad : pad + width]
+            off = i * wp + j
+            dw[:, :, i, j] = dsrc @ xflat[off : off + rows]
     return dx, dw, db
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import ContractError, DivergenceError
 from .loss import dice_loss, dice_loss_grad
 from .optim import Adam
-from .unet import backprop, forward, forward_with_caches
+from .unet import backprop, forward, forward_with_caches, init_weights
 
 
 @dataclass
@@ -67,8 +67,6 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
         raise ContractError("training data is empty")
     if truth.shape[0] != samples.shape[0]:
         raise ContractError("samples and truth disagree on the number of slices")
-
-    from .unet import init_weights  # local import avoids a cycle at module load
 
     rng = np.random.default_rng(config.seed)
     weights = init_weights(spec, rng, dtype=config.dtype)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from wmhseg import cli
 from wmhseg.cli import main
+from wmhseg.net.unet import build_unet, init_weights
+from wmhseg.net.weights_io import save_weights
 from wmhseg.nifti import read_nifti_mask
 
 
@@ -191,3 +194,28 @@ class TestErrorReporting:
             capture_output=True, text=True,
         )
         assert proc.returncode != 0
+
+    def test_memory_error_line(self, runner, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "1",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        spec = build_unet(base_width=2)
+        model = tmp_path / "model.wmhnet"
+        save_weights(model, spec, init_weights(spec, np.random.default_rng(0)))
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.4 GiB for an array")
+
+        monkeypatch.setattr(cli, "predict_case", out_of_memory)
+        subject = data / "phantom_000"
+        args = ["predict", "--models", str(model),
+                "--flair", str(subject / "flair.nii.gz"),
+                "--t1", str(subject / "t1.nii.gz"),
+                "--target", "32,32", "--out", str(tmp_path / "pred.nii.gz")]
+        with runner.isolation() as (_, err, _):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.run(args)
+            sys.stderr.flush()
+        assert exit_info.value.code == 2
+        lines = err.getvalue().decode().splitlines()
+        assert lines == ["ERROR MemoryError: Unable to allocate 12.4 GiB for an array"]

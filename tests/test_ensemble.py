@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from wmhseg.ensemble import (
 )
 from wmhseg.errors import ContractError
 from wmhseg.grids import BinaryMask3D
-from wmhseg.net.unet import build_unet, init_weights
+from wmhseg.net.unet import build_unet, forward, init_weights
 from wmhseg.preprocess import PreprocessRecord
 
 
@@ -71,6 +73,29 @@ class TestEnsemblePredict:
         spec, models = self._models(1)
         x = np.random.default_rng(2).normal(size=(1, 2, 20, 25)).astype(np.float32)
         assert ensemble_predict(models, spec, x).shape == (1, 20, 25)
+
+    def test_matches_batched_forward_mean(self):
+        spec, models = self._models(3, base_width=4)
+        x = np.random.default_rng(3).normal(size=(4, 2, 20, 25)).astype(np.float32)
+        padded, _ = _pad_to_multiple(x)
+        batched = np.mean([forward(spec, m, padded) for m in models], axis=0)
+        np.testing.assert_allclose(ensemble_predict(models, spec, x),
+                                   batched[:, :20, :25], rtol=0, atol=1e-6)
+
+    def test_peak_memory_flat_in_slice_count(self):
+        spec, models = self._models(3, base_width=8)
+        rng = np.random.default_rng(4)
+
+        def peak_bytes(n_slices):
+            x = rng.normal(size=(n_slices, 2, 64, 64)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                ensemble_predict(models, spec, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(8) <= 1.5 * peak_bytes(2)
 
     def test_no_models_rejected(self):
         spec, _ = self._models(1)

@@ -67,6 +67,64 @@ class TestConv2D:
         assert rel_err(db, finite_diff(lambda v: loss_of(x, w, v), b)) < 1e-6
 
 
+def _arrays(obj):
+    """Every numpy array reachable through nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+class TestConv2DEdgeShapes:
+    """Maps smaller than the kernel, H != W, batch 3, both float dtypes.
+
+    float64 uses the tolerances of TestConv2D; float32 runs the same checks
+    at single-precision resolution (a few ulps of the summed terms)."""
+
+    FWD_TOL = {np.float64: 1e-10, np.float32: 1e-5}
+    GRAD_TOL = {np.float64: 1e-6, np.float32: 1e-5}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 1), (1, 2)])
+    def test_forward_and_gradients(self, hw, k, dtype):
+        rng = np.random.default_rng(100 + 10 * k + hw[0] * 3 + hw[1])
+        x, w, b, target = (rng.normal(size=s).astype(dtype)
+                           for s in ((3, 2, *hw), (4, 2, k, k), 4, (3, 4, *hw)))
+        # The oracle and the finite differences run in float64 on the same values.
+        x64, w64, b64, t64 = (a.astype(np.float64) for a in (x, w, b, target))
+
+        y, cache = L.conv2d_forward(x, w, b)
+        assert y.dtype == dtype and y.shape == (3, 4, *hw)
+        assert rel_err(y, conv2d_naive(x64, w64, b64)) < self.FWD_TOL[dtype]
+
+        def loss_of(x_, w_, b_):
+            return float(np.sum(conv2d_naive(x_, w_, b_) * t64))
+
+        dx, dw, db = L.conv2d_backward(target, w, cache)
+        assert dx.dtype == dw.dtype == db.dtype == dtype
+        tol = self.GRAD_TOL[dtype]
+        assert rel_err(dx, finite_diff(lambda v: loss_of(v, w64, b64), x64)) < tol
+        assert rel_err(dw, finite_diff(lambda v: loss_of(x64, v, b64), w64)) < tol
+        assert rel_err(db, finite_diff(lambda v: loss_of(x64, w64, v), b64)) < tol
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_cache_holds_no_columns(self, k):
+        rng = np.random.default_rng(k)
+        n, c, h, width = 3, 4, 6, 5
+        x = rng.normal(size=(n, c, h, width)).astype(np.float32)
+        w = rng.normal(size=(8, c, k, k)).astype(np.float32)
+        _, cache = L.conv2d_forward(x, w, np.zeros(8, np.float32))
+        pad = k // 2
+        padded_bytes = n * c * (h + 2 * pad) * (width + 2 * pad) * x.itemsize
+        arrays = list(_arrays(cache))
+        assert arrays
+        for a in arrays:
+            base = a if a.base is None else a.base
+            assert base.nbytes <= padded_bytes
+
+
 class TestRelu:
     def test_forward(self):
         x = np.array([[-2.0, 0.0, 3.0]])
