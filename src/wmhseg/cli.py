@@ -20,7 +20,7 @@ from . import datasets
 from .augment import augment_dataset
 from .ensemble import EnsembleConfig
 from .errors import WmhsegError
-from .grids import Volume3D
+from .grids import BinaryMask3D, Volume3D
 from .metrics import evaluate_case
 from .net.training import TrainConfig, train
 from .net.unet import build_unet
@@ -47,6 +47,24 @@ def _load_config_defaults(path) -> dict:
     return defaults
 
 
+def _comma_list(item_type: click.ParamType, count: int | None = None):
+    """Click callback turning "a,b,c" into a tuple of ``item_type`` values.
+
+    Empty entries are dropped; ``count`` fixes how many values must remain.
+    """
+
+    def callback(ctx, param, value):
+        items = tuple(item_type.convert(v.strip(), param, ctx)
+                      for v in value.split(",") if v.strip())
+        if not items or (count is not None and len(items) != count):
+            wanted = count if count is not None else "one or more"
+            raise click.BadParameter(f"expected {wanted} comma-separated values, "
+                                     f"got {value!r}", ctx, param)
+        return items
+
+    return callback
+
+
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True, help="Global random seed.")
 @click.option("--workers", type=int, default=1, show_default=True,
@@ -61,22 +79,22 @@ def main(ctx, seed, workers, config_file):
     if config_file:
         defaults = _load_config_defaults(config_file)
         ctx.default_map = {cmd: defaults for cmd in main.commands}
-        ctx.obj["seed"] = int(defaults.get("seed", seed))
-        ctx.obj["workers"] = int(defaults.get("workers", workers))
+        for param in ctx.command.params:
+            if param.name in ("seed", "workers") and param.name in defaults:
+                ctx.obj[param.name] = click.INT.convert(defaults[param.name], param, ctx)
 
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--count", type=int, default=20, show_default=True)
-@click.option("--dims", default="64,64,16", show_default=True, help="nx,ny,nz")
-@click.option("--lesions", default="3,6", show_default=True, help="min,max lesion count")
+@click.option("--dims", default="64,64,16", show_default=True, help="nx,ny,nz",
+              callback=_comma_list(click.INT, 3))
+@click.option("--lesions", default="3,6", show_default=True, help="min,max lesion count",
+              callback=_comma_list(click.INT, 2))
 @click.pass_context
 def phantom(ctx, out_dir, count, dims, lesions):
     """Generate a synthetic phantom dataset with ground truth."""
-    nx, ny, nz = (int(v) for v in dims.split(","))
-    lo, hi = (int(v) for v in lesions.split(","))
-    spec = PhantomSpec(dims=(nx, ny, nz), lesion_count_range=(lo, hi),
-                       seed=ctx.obj["seed"])
+    spec = PhantomSpec(dims=dims, lesion_count_range=lesions, seed=ctx.obj["seed"])
     cases = phantom_generate(spec, count)
     datasets.save_dataset(cases, out_dir)
     click.echo(f"wrote {count} phantom cases to {out_dir}")
@@ -116,17 +134,17 @@ def split(ctx, data_dir, kind, test_fraction, out_csv):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--flair-thresh", type=float, default=70.0, show_default=True)
 @click.option("--t1-thresh", type=float, default=30.0, show_default=True)
-@click.option("--target", default="200,200", show_default=True)
+@click.option("--target", default="200,200", show_default=True,
+              callback=_comma_list(click.INT, 2))
 def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target):
     """Preprocess one case: normalized slice stacks + sidecar record."""
-    th, tw = (int(v) for v in target.split(","))
     case = CaseRecord(
         subject_id="case", scanner_id="unknown",
         flair=read_nifti(flair), t1=read_nifti(t1_path),
         ground_truth=read_nifti_mask(gt_path) if gt_path else None,
     )
     samples, truth, record = preprocess_case(
-        case, target=(th, tw), flair_threshold=flair_thresh, t1_threshold=t1_thresh
+        case, target=target, flair_threshold=flair_thresh, t1_threshold=t1_thresh
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,8 +152,6 @@ def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target
     for ci, name in enumerate(("flair", "t1")):
         write_nifti(Volume3D(samples[:, ci], spacing), out / f"{name}_norm.nii.gz")
     if truth is not None:
-        from .grids import BinaryMask3D
-
         write_nifti(BinaryMask3D(truth, spacing), out / "gt_aligned.nii.gz")
     write_record(record, out / "record.txt")
     click.echo(f"wrote preprocessed stacks and record to {out_dir}")
@@ -172,26 +188,26 @@ def train_cmd(ctx, data_dir, epochs, batch, lr, base_width, input_channels,
 
 
 @main.command()
-@click.option("--models", required=True, help="Comma-separated weight files.")
+@click.option("--models", required=True, help="Comma-separated weight files.",
+              callback=_comma_list(click.Path(exists=True, dir_okay=False)))
 @click.option("--flair", required=True, type=click.Path(exists=True))
 @click.option("--t1", "t1_path", required=True, type=click.Path(exists=True))
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 @click.option("--z-trim", type=float, default=0.10, show_default=True)
-@click.option("--target", default="200,200", show_default=True)
+@click.option("--target", default="200,200", show_default=True,
+              callback=_comma_list(click.INT, 2))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def predict(models, flair, t1_path, threshold, z_trim, target, out_path):
     """Segment a case with a model ensemble; writes a binary mask."""
-    paths = [p for p in models.split(",") if p]
-    loaded = [load_weights(p) for p in paths]
+    loaded = [load_weights(p) for p in models]
     spec = loaded[0][0]
     weight_sets = [w for _, w in loaded]
-    th, tw = (int(v) for v in target.split(","))
     case = CaseRecord(subject_id="case", scanner_id="unknown",
                       flair=read_nifti(flair), t1=read_nifti(t1_path))
     modalities = ("flair", "t1")[: spec.input_channels]
     config = EnsembleConfig(model_count=len(weight_sets), threshold=threshold,
                             z_trim_fraction=z_trim)
-    mask = predict_case(case, spec, weight_sets, config, target=(th, tw),
+    mask = predict_case(case, spec, weight_sets, config, target=target,
                         modalities=modalities)
     write_nifti(mask, out_path)
     click.echo(f"wrote segmentation ({mask.population} voxels) to {out_path}")
@@ -228,7 +244,8 @@ def rank(table_csv, out_csv):
 
 @main.command()
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
-@click.option("--sizes", default="1,3,5", show_default=True)
+@click.option("--sizes", default="1,3,5", show_default=True,
+              callback=_comma_list(click.INT))
 @click.option("--repeats", type=int, default=5, show_default=True)
 @click.option("--epochs", type=int, default=15, show_default=True)
 @click.option("--batch", type=int, default=30, show_default=True)
@@ -243,7 +260,7 @@ def sweep(ctx, data_dir, sizes, repeats, epochs, batch, lr, base_width, out_csv)
     config = TrainConfig(batch_size=batch, learning_rate=lr, epochs=epochs,
                          seed=ctx.obj["seed"])
     result = ensemble_sweep(
-        cases, [int(s) for s in sizes.split(",")], repeats, spec, config,
+        cases, sizes, repeats, spec, config,
         seed=ctx.obj["seed"], workers=ctx.obj["workers"],
     )
     result.to_csv(out_csv)

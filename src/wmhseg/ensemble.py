@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .grids import BinaryMask3D, Volume3D
+from .grids import BinaryMask3D
 from .net.unet import DOWNSAMPLE_FACTOR, forward
 from .preprocess import PreprocessRecord, invert_crop_or_pad
 
@@ -61,14 +61,10 @@ def ensemble_predict(models, spec, samples: np.ndarray) -> np.ndarray:
     return total / len(models)
 
 
-def threshold_map(prob: np.ndarray | Volume3D, threshold: float,
-                  spacing=None) -> BinaryMask3D:
+def threshold_map(prob: np.ndarray, threshold: float,
+                  spacing=(1.0, 1.0, 1.0)) -> BinaryMask3D:
     """Binarize a probability map with a strict p > t rule."""
-    if isinstance(prob, Volume3D):
-        data, spacing = prob.data, prob.spacing
-    else:
-        data = np.asarray(prob)
-        spacing = spacing if spacing is not None else (1.0, 1.0, 1.0)
+    data = np.asarray(prob)
     if data.min() < 0 or data.max() > 1:
         raise ContractError("probability map values must lie in [0, 1]")
     return BinaryMask3D(data=data > threshold, spacing=spacing)
@@ -79,7 +75,7 @@ def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
     """Clear near-end axial slices, then invert crop/pad to the original dims.
 
     The first and last floor(z_trim * nz) slices are wiped (anatomically
-    implausible detections), then each slice is mapped back through the
+    implausible detections), then the stack is mapped back through the
     recorded geometry.
     """
     nz = mask.data.shape[0]
@@ -94,8 +90,5 @@ def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
         trimmed[:n_trim] = False
         trimmed[nz - n_trim :] = False
 
-    restored = np.stack([
-        invert_crop_or_pad(trimmed[z], record.offsets, (ny, nx)).astype(bool)
-        for z in range(nz)
-    ])
+    restored = invert_crop_or_pad(trimmed, record.offsets, (ny, nx))
     return BinaryMask3D(data=restored, spacing=mask.spacing)

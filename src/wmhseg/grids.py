@@ -7,7 +7,7 @@ convention of the NIfTI header, ``spacing`` is (sx, sy, sz) in mm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -27,19 +27,24 @@ def _structure_3d(connectivity: int) -> np.ndarray:
 
 
 @dataclass
-class Volume3D:
-    """A 3D scalar grid with voxel spacing in mm.
+class _Grid3D:
+    """Validation and ``dims`` shared by the 3D grid types.
 
-    ``data`` has shape (nz, ny, nx); ``spacing`` is (sx, sy, sz).
+    ``data`` has shape (nz, ny, nx); ``spacing`` is (sx, sy, sz).  ``header``
+    holds the 348 NIfTI-1 header bytes of a grid read from disk, so writing
+    it again keeps the orientation fields; it is None for a grid built in
+    memory.
     """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
+    header: bytes | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
+        name = type(self).__name__
         if self.data.ndim != 3:
-            raise ContractError(f"Volume3D data must be 3D, got ndim={self.data.ndim}")
+            raise ContractError(f"{name} data must be 3D, got ndim={self.data.ndim}")
         self.spacing = tuple(float(s) for s in self.spacing)
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ContractError(f"spacing components must be positive, got {self.spacing}")
@@ -49,37 +54,21 @@ class Volume3D:
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
 
-    @property
-    def n_slices(self) -> int:
-        return self.data.shape[0]
+
+class Volume3D(_Grid3D):
+    """A 3D scalar grid with voxel spacing in mm."""
 
 
-@dataclass
-class BinaryMask3D:
+class BinaryMask3D(_Grid3D):
     """A boolean grid aligned with a Volume3D."""
 
-    data: np.ndarray
-    spacing: tuple[float, float, float]
-
     def __post_init__(self):
-        self.data = np.asarray(self.data).astype(bool)
-        if self.data.ndim != 3:
-            raise ContractError(f"BinaryMask3D data must be 3D, got ndim={self.data.ndim}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ContractError(f"spacing components must be positive, got {self.spacing}")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.data.shape
-        return (nx, ny, nz)
+        super().__post_init__()
+        self.data = self.data.astype(bool)
 
     @property
     def population(self) -> int:
         return int(self.data.sum())
-
-    def aligned_with(self, other) -> bool:
-        return self.data.shape == other.data.shape and self.spacing == other.spacing
 
 
 @dataclass

@@ -91,7 +91,9 @@ def avd(truth: BinaryMask3D, pred: BinaryMask3D) -> float | None:
     return abs(vg - pred.population) / vg
 
 
-def _lesion_counts(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int):
+def _lesion_scores(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int):
+    """(n_truth, n_detected, n_false, recall, f1); a ratio over no lesions is None."""
+    _check_aligned(truth, pred)
     truth_cc = connected_components_3d(truth, connectivity)
     pred_cc = connected_components_3d(pred, connectivity)
 
@@ -102,16 +104,14 @@ def _lesion_counts(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int):
     touched_pred = np.unique(pred_cc.labels[truth.data])
     n_pred_hit = int((touched_pred != 0).sum())
     n_false = pred_cc.count - n_pred_hit
-    return truth_cc.count, n_detected, n_pred_hit, n_false
+    recall = n_detected / truth_cc.count if truth_cc.count else None
+    f1 = n_pred_hit / pred_cc.count if pred_cc.count else None
+    return truth_cc.count, n_detected, n_false, recall, f1
 
 
 def lesion_recall(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int = 26):
     """Fraction of ground-truth lesions overlapped by the prediction."""
-    _check_aligned(truth, pred)
-    n_truth, n_detected, _, _ = _lesion_counts(truth, pred, connectivity)
-    if n_truth == 0:
-        return None
-    return n_detected / n_truth
+    return _lesion_scores(truth, pred, connectivity)[3]
 
 
 def lesion_f1(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int = 26):
@@ -120,24 +120,19 @@ def lesion_f1(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int = 26):
     (The challenge's "F1" is algebraically the lesion precision
     N_P / (N_P + N_F); it is implemented exactly as published.)
     """
-    _check_aligned(truth, pred)
-    _, _, n_pred_hit, n_false = _lesion_counts(truth, pred, connectivity)
-    if n_pred_hit + n_false == 0:
-        return None
-    return n_pred_hit / (n_pred_hit + n_false)
+    return _lesion_scores(truth, pred, connectivity)[4]
 
 
 def evaluate_case(truth: BinaryMask3D, pred: BinaryMask3D, spacing=None,
                   connectivity: int = 26) -> MetricReport:
     """All five metrics plus lesion counts for one case."""
-    _check_aligned(truth, pred)
-    n_truth, n_detected, n_pred_hit, n_false = _lesion_counts(truth, pred, connectivity)
+    n_truth, n_detected, n_false, recall, f1 = _lesion_scores(truth, pred, connectivity)
     return MetricReport(
         dsc=dsc(truth, pred),
         h95=hausdorff95(truth, pred, spacing),
         avd=avd(truth, pred),
-        recall=(n_detected / n_truth) if n_truth else None,
-        f1=(n_pred_hit / (n_pred_hit + n_false)) if (n_pred_hit + n_false) else None,
+        recall=recall,
+        f1=f1,
         n_truth_lesions=n_truth,
         n_detected_lesions=n_detected,
         n_false_lesions=n_false,

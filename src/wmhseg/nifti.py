@@ -71,8 +71,8 @@ def read_nifti(path) -> Volume3D:
 
     Values are mapped through scl_slope/scl_inter when slope is nonzero and
     not the identity transform (per the NIfTI convention slope 0 means
-    "unscaled").  The raw header bytes are attached to the returned volume as
-    ``nifti_header_bytes`` so a later write can preserve orientation fields.
+    "unscaled").  The raw header bytes are kept in the volume's ``header``
+    field so a later write can preserve orientation fields.
     """
     path = Path(path)
     with _open_maybe_gzip(path) as f:
@@ -107,17 +107,13 @@ def read_nifti(path) -> Volume3D:
         data = data.astype(np.float32) * np.float32(scl_slope) + np.float32(scl_inter)
 
     spacing = tuple(abs(p) if p != 0 else 1.0 for p in pixdim[1:4])
-    vol = Volume3D(data=data, spacing=spacing)
-    vol.nifti_header_bytes = bytes(raw[:HEADER_SIZE])
-    return vol
+    return Volume3D(data, spacing, bytes(raw[:HEADER_SIZE]))
 
 
 def read_nifti_mask(path) -> BinaryMask3D:
     """Read a NIfTI file as a binary mask (nonzero = foreground)."""
     vol = read_nifti(path)
-    mask = BinaryMask3D(data=vol.data != 0, spacing=vol.spacing)
-    mask.nifti_header_bytes = getattr(vol, "nifti_header_bytes", None)
-    return mask
+    return BinaryMask3D(vol.data != 0, vol.spacing, vol.header)
 
 
 def _build_header(dims, spacing, datatype_code, template: bytes | None) -> bytearray:
@@ -161,8 +157,7 @@ def write_nifti(volume, path, datatype=None) -> None:
             raise UnsupportedTypeError(f"unsupported output dtype {np_dtype}")
     code = _DTYPE_CODES[np.dtype(np_dtype)]
 
-    hdr = _build_header(volume.dims, volume.spacing, code,
-                        getattr(volume, "nifti_header_bytes", None))
+    hdr = _build_header(volume.dims, volume.spacing, code, volume.header)
     payload = data.astype(np_dtype).astype(np.dtype(np_dtype).newbyteorder("<"))
     blob = bytes(hdr) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload.tobytes()
 

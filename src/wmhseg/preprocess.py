@@ -1,4 +1,4 @@
-"""Per-slice crop/pad, threshold brain masking and Gaussian normalization.
+"""In-plane crop/pad, threshold brain masking and Gaussian normalization.
 
 The geometry bookkeeping (PreprocessRecord) lets the prediction path invert
 every spatial change exactly, so final masks land back on the original grid.
@@ -65,53 +65,48 @@ def _split_excess(excess: int) -> tuple[int, int]:
     return sign * low, sign * high
 
 
-def crop_or_pad_slice(slice2d: np.ndarray, target=DEFAULT_TARGET):
-    """Center-crop or zero-pad a 2D array to ``target`` (rows, cols).
+def _cut_or_pad(arr: np.ndarray, offsets: Offsets) -> np.ndarray:
+    """Apply signed per-side offsets to the last two axes of ``arr``.
 
-    Returns (output, offsets).  Excess is split evenly with the extra pixel
-    on the high side; padding value is 0.
+    A positive offset zero-pads that side, a negative one cuts it off.
+    """
+    (r0, r1), (c0, c1) = offsets
+    h, w = arr.shape[-2:]
+    arr = arr[..., max(0, -r0) : h - max(0, -r1), max(0, -c0) : w - max(0, -c1)]
+    pad = [(max(0, r0), max(0, r1)), (max(0, c0), max(0, c1))]
+    if any(pad[0] + pad[1]):
+        arr = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + pad, mode="constant", constant_values=0)
+    return arr
+
+
+def crop_or_pad_slice(slices: np.ndarray, target=DEFAULT_TARGET):
+    """Center-crop or zero-pad the last two axes to ``target`` (rows, cols).
+
+    Takes one (H, W) slice or an (nz, H, W) stack.  Returns (output, offsets).
+    Excess is split evenly with the extra pixel on the high side; padding
+    value is 0.
     """
     th, tw = target
     if th <= 0 or tw <= 0:
         raise ContractError(f"target dims must be positive, got {target}")
-    slice2d = np.asarray(slice2d)
-    h, w = slice2d.shape
-    row_off = _split_excess(th - h)
-    col_off = _split_excess(tw - w)
-
-    out = slice2d
-    for axis, (low, high) in enumerate((row_off, col_off)):
-        if low < 0 or high < 0:
-            start, stop = -low, out.shape[axis] + high
-            out = out[start:stop] if axis == 0 else out[:, start:stop]
-        elif low > 0 or high > 0:
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (low, high)
-            out = np.pad(out, pad, mode="constant", constant_values=0)
-    return out, (row_off, col_off)
+    slices = np.asarray(slices)
+    h, w = slices.shape[-2:]
+    offsets = (_split_excess(th - h), _split_excess(tw - w))
+    return _cut_or_pad(slices, offsets), offsets
 
 
-def invert_crop_or_pad(mask_slice: np.ndarray, offsets: Offsets, original_dims):
-    """Undo crop_or_pad_slice on a slice of matching processed size.
+def invert_crop_or_pad(mask: np.ndarray, offsets: Offsets, original_dims):
+    """Undo crop_or_pad_slice on a slice or stack of matching processed size.
 
     Voxels in the overlap region are preserved exactly; regions that were
     cropped away come back as background.
     """
-    mask_slice = np.asarray(mask_slice)
-    oh, ow = original_dims
-    out = mask_slice
-    for axis, (low, high) in enumerate(offsets):
-        if low > 0 or high > 0:  # was padded: cut the padding off
-            start, stop = low, out.shape[axis] - high
-            out = out[start:stop] if axis == 0 else out[:, start:stop]
-        elif low < 0 or high < 0:  # was cropped: restore as background
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (-low, -high)
-            out = np.pad(out, pad, mode="constant", constant_values=0)
-    if out.shape != (oh, ow):
+    (r0, r1), (c0, c1) = offsets
+    out = _cut_or_pad(np.asarray(mask), ((-r0, -r1), (-c0, -c1)))
+    if out.shape[-2:] != tuple(original_dims):
         raise ContractError(
             f"offsets {offsets} do not reproduce original dims {original_dims} "
-            f"(got {out.shape})"
+            f"(got {out.shape[-2:]})"
         )
     return out
 
@@ -126,8 +121,8 @@ def brain_mask(volume: Volume3D, threshold: float) -> BinaryMask3D:
     if not np.isfinite(threshold):
         raise ContractError("threshold must be finite")
     out = np.zeros(volume.data.shape, dtype=bool)
-    for z in range(volume.n_slices):
-        raw = volume.data[z] > threshold
+    for z, plane in enumerate(volume.data):
+        raw = plane > threshold
         if not raw.any():
             continue
         out[z] = fill_holes_2d(largest_component_2d(raw))
@@ -154,28 +149,12 @@ def gaussian_normalize(volume: Volume3D, mask: BinaryMask3D, std_floor: float = 
     return Volume3D(normalized, volume.spacing), mean, std, False
 
 
-def robust_normalize(volume: Volume3D, mask: BinaryMask3D, std_floor: float = 1e-9):
-    """Median/MAD variant of gaussian_normalize (lesion-robust, off by default)."""
-    if mask.data.shape != volume.data.shape:
-        raise ContractError("mask is not aligned with the volume")
-    values = volume.data[mask.data]
-    if values.size == 0:
-        return Volume3D(np.zeros(volume.data.shape, np.float32), volume.spacing), 0.0, 0.0, True
-    med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med))) * 1.4826
-    if mad < std_floor:
-        return Volume3D(np.zeros(volume.data.shape, np.float32), volume.spacing), med, mad, True
-    normalized = ((volume.data.astype(np.float64) - med) / mad).astype(np.float32)
-    return Volume3D(normalized, volume.spacing), med, mad, False
-
-
 def preprocess_case(
     case: CaseRecord,
     target=DEFAULT_TARGET,
     flair_threshold: float = DEFAULT_FLAIR_THRESHOLD,
     t1_threshold: float = DEFAULT_T1_THRESHOLD,
     modalities: tuple[str, ...] = ("flair", "t1"),
-    robust: bool = False,
 ):
     """Turn a case into per-slice network samples plus a PreprocessRecord.
 
@@ -185,7 +164,6 @@ def preprocess_case(
     """
     volumes = {"flair": case.flair, "t1": case.t1}
     thresholds = {"flair": flair_threshold, "t1": t1_threshold}
-    normalize = robust_normalize if robust else gaussian_normalize
 
     record = PreprocessRecord(
         original_dims=case.flair.dims,
@@ -198,27 +176,19 @@ def preprocess_case(
     for modality in modalities:
         vol = volumes[modality]
         mask = brain_mask(vol, thresholds[modality])
-        normalized, mean, std, degenerate = normalize(vol, mask)
+        normalized, mean, std, degenerate = gaussian_normalize(vol, mask)
         record.normalization[modality] = (mean, std)
         record.brain_masks[modality] = mask
         record.degenerate = record.degenerate or degenerate
 
-        slices = []
-        for z in range(normalized.n_slices):
-            out, offsets = crop_or_pad_slice(normalized.data[z], target)
-            slices.append(out)
-        record.offsets = offsets
-        channel_stacks.append(np.stack(slices).astype(np.float32))
+        stack, record.offsets = crop_or_pad_slice(normalized.data, target)
+        channel_stacks.append(stack.astype(np.float32))
 
     samples = np.stack(channel_stacks, axis=1)  # (n, C, H, W)
 
     truth = None
     if case.ground_truth is not None:
-        truth_slices = [
-            crop_or_pad_slice(case.ground_truth.data[z], target)[0]
-            for z in range(case.ground_truth.data.shape[0])
-        ]
-        truth = np.stack(truth_slices).astype(bool)
+        truth = crop_or_pad_slice(case.ground_truth.data, target)[0].astype(bool)
 
     return samples, truth, record
 

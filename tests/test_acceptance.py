@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.  The two benchmark criteria (5 and 6) train real
-models and together take roughly 10-15 minutes on four CPU cores.
+models and take about 3.1 and 2.6 minutes on a two-core machine.
 """
 
 import time

@@ -195,6 +195,38 @@ class TestErrorReporting:
         )
         assert proc.returncode != 0
 
+    @pytest.mark.parametrize("args, option", [
+        (["phantom", "--dims", "32,32"], "--dims"),
+        (["phantom", "--lesions", "2,x"], "--lesions"),
+        (["preprocess", "--flair", "{scan}", "--t1", "{scan}", "--target", "20x20"],
+         "--target"),
+        (["predict", "--models", "{scan}", "--flair", "{scan}", "--t1", "{scan}",
+          "--target", "32"], "--target"),
+        (["predict", "--models", ",", "--flair", "{scan}", "--t1", "{scan}"], "--models"),
+        (["predict", "--models", "{tmp}/missing.wmhnet", "--flair", "{scan}",
+          "--t1", "{scan}"], "--models"),
+        (["sweep", "--data", "{tmp}", "--sizes", "1,,x"], "--sizes"),
+    ], ids=["dims", "lesions", "preprocess-target", "predict-target", "models-empty",
+            "models-missing", "sizes"])
+    def test_bad_list_option(self, runner, tmp_path, args, option):
+        scan = tmp_path / "scan.nii.gz"
+        scan.write_bytes(b"")  # the option is rejected before any file is read
+        args = [a.format(tmp=tmp_path, scan=scan) for a in args]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '{option}'" in result.output
+
+    @pytest.mark.parametrize("line, option", [("seed=abc", "--seed"),
+                                              ("workers=2.5", "--workers")])
+    def test_bad_config_integer(self, runner, tmp_path, line, option):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, ["--config", str(cfg), "phantom",
+                                      "--out", str(tmp_path / "data")])
+        assert result.exit_code == 2
+        assert f"Error: Invalid value for '{option}'" in result.output
+        assert not (tmp_path / "data").exists()
+
     def test_memory_error_line(self, runner, tmp_path, monkeypatch):
         data = tmp_path / "data"
         invoke(runner, ["phantom", "--out", str(data), "--count", "1",

@@ -33,6 +33,10 @@ class TestTypes:
         with pytest.raises(ContractError):
             Volume3D(np.zeros((2, 2, 2)), (1.0, 0.0, 1.0))
 
+    def test_mask_rejects_2d_data_by_name(self):
+        with pytest.raises(ContractError, match="^BinaryMask3D data must be 3D"):
+            BinaryMask3D(np.zeros((2, 2), bool), SPACING)
+
     def test_dims_ordering(self):
         v = Volume3D(np.zeros((3, 4, 5)), (0.96, 0.95, 3.0))
         assert v.dims == (5, 4, 3)  # (nx, ny, nz)

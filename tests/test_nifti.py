@@ -143,7 +143,12 @@ def test_header_bytes_preserved_on_rewrite(tmp_path):
     # Scribble into an orientation field (qoffset_x at byte 268).
     struct.pack_into("<f", raw, 268, 12.5)
     path.write_bytes(bytes(raw))
-    vol2 = read_nifti(path)
-    out = tmp_path / "rewrite.nii"
-    write_nifti(vol2, out)
-    assert struct.unpack_from("<f", out.read_bytes(), 268)[0] == 12.5
+    for grid in (read_nifti(path), read_nifti_mask(path)):
+        out = tmp_path / "rewrite.nii"
+        write_nifti(grid, out)
+        assert struct.unpack_from("<f", out.read_bytes(), 268)[0] == 12.5
+
+
+def test_grid_built_in_memory_has_no_header():
+    assert small_volume().header is None
+    assert BinaryMask3D(np.zeros((2, 4, 4)), (1, 1, 1)).header is None

@@ -59,6 +59,17 @@ class TestCropOrPad:
         back = invert_crop_or_pad(out, offsets, (132, 256))
         np.testing.assert_array_equal(back[:, 28:228], x[:, 28:228])
 
+    @pytest.mark.parametrize("shape", [(240, 256), (132, 180)], ids=["crop", "pad"])
+    def test_stack_matches_slices(self, shape):
+        x = np.random.default_rng(5).random((3, *shape))
+        out, offsets = crop_or_pad_slice(x, (200, 200))
+        per_slice = [crop_or_pad_slice(plane, (200, 200)) for plane in x]
+        np.testing.assert_array_equal(out, np.stack([o for o, _ in per_slice]))
+        assert all(o == offsets for _, o in per_slice)
+        back = invert_crop_or_pad(out, offsets, shape)
+        np.testing.assert_array_equal(
+            back, np.stack([invert_crop_or_pad(o, offsets, shape) for o, _ in per_slice]))
+
     def test_invert_rejects_inconsistent_dims(self):
         out, offsets = crop_or_pad_slice(np.ones((240, 240)), (200, 200))
         with pytest.raises(ContractError):
