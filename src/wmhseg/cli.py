@@ -2,9 +2,10 @@
 
 Subcommands: phantom, split, preprocess, train, predict, evaluate, rank,
 sweep, stats.  Global flags --seed, --workers and --config FILE (plain
-key=value lines supplying defaults for any option name).  Exit code is 0 on
-success; failures print one machine-readable line "ERROR <kind>: <message>"
-to stderr and exit nonzero.
+key=value lines supplying defaults for any option name; a flag given on the
+command line wins over the file).  Exit code is 0 on success; failures print
+one machine-readable line "ERROR <kind>: <message>" to stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import datasets
 from .augment import augment_dataset
@@ -80,7 +82,8 @@ def main(ctx, seed, workers, config_file):
         defaults = _load_config_defaults(config_file)
         ctx.default_map = {cmd: defaults for cmd in main.commands}
         for param in ctx.command.params:
-            if param.name in ("seed", "workers") and param.name in defaults:
+            if (param.name in ("seed", "workers") and param.name in defaults
+                    and ctx.get_parameter_source(param.name) is ParameterSource.DEFAULT):
                 ctx.obj[param.name] = click.INT.convert(defaults[param.name], param, ctx)
 
 

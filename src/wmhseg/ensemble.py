@@ -71,12 +71,13 @@ def threshold_map(prob: np.ndarray, threshold: float,
 
 
 def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
-                z_trim: float = 0.10) -> BinaryMask3D:
+                z_trim: float = 0.10, header: bytes | None = None) -> BinaryMask3D:
     """Clear near-end axial slices, then invert crop/pad to the original dims.
 
     The first and last floor(z_trim * nz) slices are wiped (anatomically
     implausible detections), then the stack is mapped back through the
-    recorded geometry.
+    recorded geometry.  ``header`` (the source scan's NIfTI header bytes)
+    goes to the returned mask, so writing it keeps the scan's orientation.
     """
     nz = mask.data.shape[0]
     nx, ny, _ = record.original_dims
@@ -91,4 +92,4 @@ def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
         trimmed[nz - n_trim :] = False
 
     restored = invert_crop_or_pad(trimmed, record.offsets, (ny, nx))
-    return BinaryMask3D(data=restored, spacing=mask.spacing)
+    return BinaryMask3D(data=restored, spacing=mask.spacing, header=header)

@@ -6,11 +6,17 @@ channels-last buffer, and each of the k*k kernel offsets is one GEMM over a
 shifted contiguous window of that buffer, accumulated into a single output
 (the k^2-GEMM or "kn2row" form).  No im2col buffer is built, and the backward
 pass needs only the padded input.
+
+BLAS adds each tap's product into the accumulator in place (gemm, beta=1): no
+per-tap temporary, no separate add pass.  Every conv GEMM uses scipy's BLAS,
+because numpy and scipy bundle separate BLAS thread pools and mixing the two
+within one training step was slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 
 def _pad_nhwc(x, pad, dtype):
@@ -35,12 +41,14 @@ def _shift_accumulate(src, taps):
     k = taps.shape[0]
     flat = src.reshape(-1, cin)
     rows = flat.shape[0] - (k - 1) * (wp + 1)
-    out = np.zeros((flat.shape[0], taps.shape[3]), dtype=np.result_type(src, taps))
-    acc = out[:rows]
+    out = np.zeros((flat.shape[0], taps.shape[3]), dtype=np.result_type(src, taps, np.float32))
+    gemm = get_blas_funcs("gemm", (out,))
+    acc_t = out[:rows].T  # Fortran-ordered, so BLAS updates it without a copy
     for i in range(k):
         for j in range(k):
             off = i * wp + j
-            acc += flat[off : off + rows] @ taps[i, j]
+            acc_t = gemm(1.0, taps[i, j], flat[off : off + rows].T, beta=1.0, c=acc_t,
+                         trans_a=1, overwrite_c=1)
     return out.reshape(n, hp, wp, -1)
 
 
@@ -79,11 +87,12 @@ def conv2d_backward(dy, w, xp):
     rows = xflat.shape[0] - (k - 1) * (wp + 1)
     start = pad * (wp + 1)
     dsrc = dflat[start : start + rows].T
-    dw = np.empty(w.shape, dtype=np.result_type(dy, xp))
+    dw = np.empty(w.shape, dtype=np.result_type(dy, xp, np.float32))
+    gemm = get_blas_funcs("gemm", (dw,))
     for i in range(k):
         for j in range(k):
             off = i * wp + j
-            dw[:, :, i, j] = dsrc @ xflat[off : off + rows]
+            dw[:, :, i, j] = gemm(1.0, dsrc, xflat[off : off + rows].T, trans_b=1)
     return dx, dw, db
 
 

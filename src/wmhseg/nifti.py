@@ -163,7 +163,9 @@ def write_nifti(volume, path, datatype=None) -> None:
 
     try:
         if path.suffix == ".gz":
-            with gzip.open(path, "wb", compresslevel=4) as f:
+            # mtime=0 keeps the clock out of the gzip header (RFC 1952 MTIME),
+            # so the bytes depend on the data alone.
+            with gzip.GzipFile(path, "wb", compresslevel=4, mtime=0) as f:
                 f.write(blob)
         else:
             with open(path, "wb") as f:

@@ -25,7 +25,8 @@ def predict_case(
     t1_threshold: float = DEFAULT_T1_THRESHOLD,
     modalities: tuple[str, ...] = ("flair", "t1"),
 ) -> BinaryMask3D:
-    """Segment one case; the output mask is on the case's original grid."""
+    """Segment one case; the output mask is on the case's original grid and
+    carries the FLAIR's header, so it overlays the scan when written."""
     config = config or EnsembleConfig(model_count=len(models))
     samples, _, record = preprocess_case(
         case,
@@ -36,7 +37,8 @@ def predict_case(
     )
     prob = ensemble_predict(models, spec, samples)
     mask = threshold_map(prob, config.threshold, spacing=case.flair.spacing)
-    return postprocess(mask, record, z_trim=config.z_trim_fraction)
+    return postprocess(mask, record, z_trim=config.z_trim_fraction,
+                       header=case.flair.header)
 
 
 def case_training_arrays(cases, target=None, modalities=("flair", "t1"),

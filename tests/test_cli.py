@@ -1,6 +1,9 @@
 import csv
+import gzip
+import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +47,16 @@ class TestPhantomAndSplit:
         blob = (a / "phantom_000" / "flair.nii.gz").read_bytes()
         assert blob == (b / "phantom_000" / "flair.nii.gz").read_bytes()
         assert blob != (c / "phantom_000" / "flair.nii.gz").read_bytes()
+
+    def test_phantom_bytes_ignore_clock(self, runner, tmp_path, monkeypatch):
+        # gzip stamps time.time() into the header unless told otherwise.
+        blobs = []
+        for now, out in ((1_000_000_000.0, tmp_path / "a"), (1_000_000_007.0, tmp_path / "b")):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            invoke(runner, ["--seed", "1", "phantom", "--out", str(out), "--count", "1",
+                            "--dims", "32,32,8", "--lesions", "2,3"])
+            blobs.append((out / "phantom_000" / "flair.nii.gz").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_split_subject(self, runner, tmp_path):
         data = tmp_path / "data"
@@ -110,6 +123,29 @@ class TestEndToEndPipeline:
         assert fields[0] == "smoke"
         assert 0.0 <= float(fields[1]) <= 1.0  # a valid DSC
 
+    def test_predict_keeps_orientation(self, runner, tmp_path):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "1",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        subject = data / "phantom_000"
+        raw = bytearray(gzip.decompress((subject / "flair.nii.gz").read_bytes()))
+        struct.pack_into("<2h", raw, 252, 1, 1)  # qform_code, sform_code
+        struct.pack_into("<6f", raw, 256, 0.0, 0.0, 1.0, 120.0, -110.0, -40.0)
+        struct.pack_into("<12f", raw, 280, -0.96, 0, 0, 120, 0, 0.96, 0, -110,
+                         0, 0, 3.0, -40)
+        flair = tmp_path / "oriented.nii.gz"
+        flair.write_bytes(gzip.compress(bytes(raw)))
+
+        spec = build_unet(base_width=2)
+        model = tmp_path / "model.wmhnet"
+        save_weights(model, spec, init_weights(spec, np.random.default_rng(0)))
+        pred_path = tmp_path / "pred.nii.gz"
+        invoke(runner, ["predict", "--models", str(model), "--flair", str(flair),
+                        "--t1", str(subject / "t1.nii.gz"), "--target", "32,32",
+                        "--out", str(pred_path)])
+        written = gzip.decompress(pred_path.read_bytes())
+        assert written[252:348] == bytes(raw[252:348])
+
     def test_preprocess_command(self, runner, tmp_path):
         data = tmp_path / "data"
         invoke(runner, ["phantom", "--out", str(data), "--count", "1",
@@ -173,6 +209,21 @@ class TestConfigFile:
         invoke(runner, ["--config", str(cfg), "phantom", "--out", str(data)])
         rows = list(csv.DictReader(open(data / "manifest.csv")))
         assert len(rows) == 2
+
+    def test_command_line_seed_wins_over_config(self, runner, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("seed=5\n")
+        args = ["phantom", "--count", "1", "--dims", "32,32,8", "--lesions", "2,3"]
+
+        def flair(name, *flags):
+            out = tmp_path / name
+            invoke(runner, [*flags, *args, "--out", str(out)])
+            return gzip.decompress((out / "phantom_000" / "flair.nii.gz").read_bytes())
+
+        one, five = flair("one", "--seed", "1"), flair("five", "--seed", "5")
+        assert one != five
+        assert flair("both", "--seed", "1", "--config", str(cfg)) == one
+        assert flair("file", "--config", str(cfg)) == five
 
 
 class TestErrorReporting:

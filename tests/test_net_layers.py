@@ -1,6 +1,8 @@
 """Per-layer forward checks against naive references plus finite-difference
 gradient checks for every backward pass."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,56 @@ class TestConv2DEdgeShapes:
         for a in arrays:
             base = a if a.base is None else a.base
             assert base.nbytes <= padded_bytes
+
+
+class TestConv2DAccumulation:
+    """Tap products accumulate in place inside BLAS."""
+
+    def test_no_per_tap_temporary(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 16, 64, 64)).astype(np.float32)
+        w = rng.normal(size=(16, 16, 5, 5)).astype(np.float32)
+        b = np.zeros(16, np.float32)
+        L.conv2d_forward(x, w, b)  # warm up BLAS and the wrappers
+        tracemalloc.start()
+        try:
+            y, xp = L.conv2d_forward(x, w, b)
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = L._shift_accumulate(xp, w.transpose(2, 3, 1, 0))
+            accumulate_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # Whole forward: padded input, junk-row output and y, plus less than
+        # one more output-sized buffer.
+        assert forward_peak < xp.nbytes + out.nbytes + 2 * y.nbytes
+        # The tap loop allocates next to nothing beyond its output; a product
+        # temporary per tap would add about one more output.
+        assert accumulate_peak < out.nbytes + out.nbytes // 8
+
+    @pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float64),
+                                                  (np.float64, np.float32),
+                                                  (np.int64, np.int64)])
+    def test_mixed_dtypes(self, x_dtype, w_dtype):
+        # The BLAS routine follows the output dtype, float64 here; the other
+        # operand is cast, and integers compute in float64.
+        rng = np.random.default_rng(7)
+        x = (rng.normal(size=(2, 2, 4, 5)) * 4).astype(x_dtype)
+        w = (rng.normal(size=(3, 2, 3, 3)) * 4).astype(w_dtype)
+        b = rng.normal(size=3)
+        target = rng.normal(size=(2, 3, 4, 5)).astype(x_dtype)
+        x64, w64, t64 = (a.astype(np.float64) for a in (x, w, target))
+
+        y, cache = L.conv2d_forward(x, w, b)
+        assert y.dtype == np.float64
+        np.testing.assert_allclose(y, conv2d_naive(x64, w64, b), atol=1e-10)
+
+        def loss_of(x_, w_):
+            return float(np.sum(conv2d_naive(x_, w_, b) * t64))
+
+        dx, dw, _ = L.conv2d_backward(target, w, cache)
+        assert rel_err(dx, finite_diff(lambda v: loss_of(v, w64), x64)) < 1e-6
+        assert rel_err(dw, finite_diff(lambda v: loss_of(x64, v), w64)) < 1e-6
 
 
 class TestRelu:
