@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: phantom, split, preprocess, train, predict, evaluate, rank,
-sweep, stats.  Global flags --seed, --workers and --config FILE (plain
+sweep, stats.  Global flags --seed and --config FILE (plain
 key=value lines supplying defaults for any option name; a flag given on the
 command line wins over the file).  Exit code is 0 on success; failures print
 one machine-readable line "ERROR <kind>: <message>" to stderr and exit
@@ -69,22 +69,18 @@ def _comma_list(item_type: click.ParamType, count: int | None = None):
 
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True, help="Global random seed.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker count for parallel jobs.")
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None,
               help="key=value file with option defaults.")
 @click.pass_context
-def main(ctx, seed, workers, config_file):
+def main(ctx, seed, config_file):
     ctx.ensure_object(dict)
     ctx.obj["seed"] = seed
-    ctx.obj["workers"] = workers
     if config_file:
         defaults = _load_config_defaults(config_file)
         ctx.default_map = {cmd: defaults for cmd in main.commands}
-        for param in ctx.command.params:
-            if (param.name in ("seed", "workers") and param.name in defaults
-                    and ctx.get_parameter_source(param.name) is ParameterSource.DEFAULT):
-                ctx.obj[param.name] = click.INT.convert(defaults[param.name], param, ctx)
+        if "seed" in defaults and ctx.get_parameter_source("seed") is ParameterSource.DEFAULT:
+            param = next(p for p in ctx.command.params if p.name == "seed")
+            ctx.obj["seed"] = click.INT.convert(defaults["seed"], param, ctx)
 
 
 @main.command()
@@ -262,10 +258,7 @@ def sweep(ctx, data_dir, sizes, repeats, epochs, batch, lr, base_width, out_csv)
     spec = build_unet(input_channels=2, base_width=base_width)
     config = TrainConfig(batch_size=batch, learning_rate=lr, epochs=epochs,
                          seed=ctx.obj["seed"])
-    result = ensemble_sweep(
-        cases, sizes, repeats, spec, config,
-        seed=ctx.obj["seed"], workers=ctx.obj["workers"],
-    )
+    result = ensemble_sweep(cases, sizes, repeats, spec, config, seed=ctx.obj["seed"])
     result.to_csv(out_csv)
     click.echo(f"wrote sweep summary to {out_csv}")
 

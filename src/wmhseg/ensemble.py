@@ -61,6 +61,11 @@ def ensemble_predict(models, spec, samples: np.ndarray) -> np.ndarray:
     return total / len(models)
 
 
+def trimmed_slice_count(nz: int, z_trim: float) -> int:
+    """Slices cleared at each end of an nz-slice stack: floor(z_trim * nz)."""
+    return int(z_trim * nz)
+
+
 def threshold_map(prob: np.ndarray, threshold: float,
                   spacing=(1.0, 1.0, 1.0)) -> BinaryMask3D:
     """Binarize a probability map with a strict p > t rule."""
@@ -86,7 +91,7 @@ def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
             f"mask has {nz} slices but the record says {record.original_dims[2]}"
         )
     trimmed = mask.data.copy()
-    n_trim = int(z_trim * nz)
+    n_trim = trimmed_slice_count(nz, z_trim)
     if n_trim > 0:
         trimmed[:n_trim] = False
         trimmed[nz - n_trim :] = False

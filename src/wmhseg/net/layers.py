@@ -11,6 +11,11 @@ BLAS adds each tap's product into the accumulator in place (gemm, beta=1): no
 per-tap temporary, no separate add pass.  Every conv GEMM uses scipy's BLAS,
 because numpy and scipy bundle separate BLAS thread pools and mixing the two
 within one training step was slower.
+
+ReLU and max pooling take ``keep_cache``.  Inference passes False: ReLU then
+clips its input in place and builds no mask, and pooling takes the max of the
+four strided views of each 2x2 window with no argmax.  Both give the same
+outputs as the cached forms, which training uses.
 """
 
 from __future__ import annotations
@@ -96,7 +101,11 @@ def conv2d_backward(dy, w, xp):
     return dx, dw, db
 
 
-def relu_forward(x):
+def relu_forward(x, keep_cache=True):
+    """max(x, 0) and the mask of positive inputs; without ``keep_cache`` x is
+    clipped in place and the cache is None."""
+    if not keep_cache:
+        return np.maximum(x, 0, out=x), None
     return np.maximum(x, 0), x > 0
 
 
@@ -104,8 +113,15 @@ def relu_backward(dy, cache):
     return dy * cache
 
 
-def maxpool2x2_forward(x):
-    """2x2 max pooling, stride 2. Ties route the gradient to the first max."""
+def maxpool2x2_forward(x, keep_cache=True):
+    """2x2 max pooling, stride 2. Ties route the gradient to the first max.
+
+    Without ``keep_cache`` the output is the max of the window's four strided
+    views and the cache is None.
+    """
+    if not keep_cache:
+        top = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+        return np.maximum(top, np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]), out=top), None
     n, c, h, w = x.shape
     windows = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = windows.reshape(n, c, h // 2, w // 2, 4)

@@ -119,7 +119,7 @@ def _forward_impl(spec, weights, x, keep_caches):
         h, cc = L.conv2d_forward(h, w, b)
         record("conv", (li, cc))
         if relu:
-            h, rc = L.relu_forward(h)
+            h, rc = L.relu_forward(h, keep_cache=keep_caches)
             record("relu", rc)
         return h
 
@@ -131,7 +131,7 @@ def _forward_impl(spec, weights, x, keep_caches):
         h = conv_relu(h, li + 1)
         li += 2
         skips.append(h)
-        h, pc = L.maxpool2x2_forward(h)
+        h, pc = L.maxpool2x2_forward(h, keep_cache=keep_caches)
         record("pool", pc)
 
     h = conv_relu(h, li)

@@ -139,7 +139,8 @@ def write_nifti(volume, path, datatype=None) -> None:
 
     Masks are stored as uint8 {0, 1}.  For volumes the datatype defaults to
     float32 unless the data already has a supported integer dtype.  Paths
-    ending in .gz are gzip-compressed.
+    ending in .gz are gzip-compressed with no file name or time in the gzip
+    header, so equal data gives equal bytes under any name.
     """
     path = Path(path)
     if isinstance(volume, BinaryMask3D):
@@ -163,9 +164,11 @@ def write_nifti(volume, path, datatype=None) -> None:
 
     try:
         if path.suffix == ".gz":
-            # mtime=0 keeps the clock out of the gzip header (RFC 1952 MTIME),
-            # so the bytes depend on the data alone.
-            with gzip.GzipFile(path, "wb", compresslevel=4, mtime=0) as f:
+            # An empty filename and mtime=0 keep the file name (RFC 1952
+            # FNAME) and the clock (MTIME) out of the gzip header, so the
+            # bytes depend on the data alone.
+            with open(path, "wb") as raw, gzip.GzipFile(
+                    filename="", mode="wb", fileobj=raw, compresslevel=4, mtime=0) as f:
                 f.write(blob)
         else:
             with open(path, "wb") as f:

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, ensemble_predict, postprocess, threshold_map
+from .ensemble import (
+    EnsembleConfig,
+    ensemble_predict,
+    postprocess,
+    threshold_map,
+    trimmed_slice_count,
+)
 from .grids import BinaryMask3D
 from .preprocess import (
     DEFAULT_FLAIR_THRESHOLD,
@@ -26,7 +32,11 @@ def predict_case(
     modalities: tuple[str, ...] = ("flair", "t1"),
 ) -> BinaryMask3D:
     """Segment one case; the output mask is on the case's original grid and
-    carries the FLAIR's header, so it overlays the scan when written."""
+    carries the FLAIR's header, so it overlays the scan when written.
+
+    Only the slices ``postprocess`` keeps are forwarded through the
+    ensemble; the z-trimmed ones get probability 0.
+    """
     config = config or EnsembleConfig(model_count=len(models))
     samples, _, record = preprocess_case(
         case,
@@ -35,7 +45,10 @@ def predict_case(
         t1_threshold=t1_threshold,
         modalities=modalities,
     )
-    prob = ensemble_predict(models, spec, samples)
+    nz = samples.shape[0]
+    n_trim = trimmed_slice_count(nz, config.z_trim_fraction)
+    prob = np.zeros((nz, *samples.shape[2:]))
+    prob[n_trim : nz - n_trim] = ensemble_predict(models, spec, samples[n_trim : nz - n_trim])
     mask = threshold_map(prob, config.threshold, spacing=case.flair.spacing)
     return postprocess(mask, record, z_trim=config.z_trim_fraction,
                        header=case.flair.header)

@@ -54,7 +54,6 @@ def ensemble_sweep(
     threshold: float = 0.5,
     z_trim: float = 0.10,
     seed: int = 0,
-    workers: int = 1,
 ) -> SweepResult:
     """Train size*repeats models per ensemble size and summarize metrics.
 
@@ -77,26 +76,13 @@ def ensemble_sweep(
     eval_cases = [by_id[i] for i in plan.test_ids]
     x, g = case_training_arrays(train_cases)
 
-    jobs = []
+    trained = {}
     for size in sizes:
         for repeat in range(repeats):
             for member in range(size):
-                jobs.append((size, repeat, member))
-
-    def train_one(job):
-        size, repeat, member = job
-        model_seed = hash((seed, size, repeat, member)) & 0x7FFFFFFF
-        cfg = replace(train_config, seed=model_seed)
-        weights, _ = train(spec, x, g, cfg)
-        return job, weights
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = dict(pool.map(train_one, jobs))
-    else:
-        trained = dict(map(train_one, jobs))
+                model_seed = hash((seed, size, repeat, member)) & 0x7FFFFFFF
+                cfg = replace(train_config, seed=model_seed)
+                trained[size, repeat, member], _ = train(spec, x, g, cfg)
 
     per_metric: dict[str, dict[int, list[float]]] = {m: {s: [] for s in sizes} for m in METRICS}
     for size in sizes:

@@ -188,12 +188,28 @@ class TestRelu:
         _, cache = L.relu_forward(x)
         np.testing.assert_array_equal(L.relu_backward(np.ones_like(x), cache), [[0, 1]])
 
+    def test_cache_free_clips_in_place(self):
+        x = np.array([[-2.0, 0.0, 3.0, -0.5]])
+        want, _ = L.relu_forward(x)
+        y, cache = L.relu_forward(x, keep_cache=False)
+        assert cache is None and y is x
+        np.testing.assert_array_equal(y, want)
+
 
 class TestMaxPool:
     def test_forward_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         y, _ = L.maxpool2x2_forward(x)
         np.testing.assert_array_equal(y[0, 0], [[5, 7], [13, 15]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cache_free_matches_argmax_pool(self, dtype):
+        # small integers make many windows hold a tied maximum
+        x = np.random.default_rng(6).integers(-2, 3, size=(2, 3, 8, 6)).astype(dtype)
+        y, _ = L.maxpool2x2_forward(x)
+        fast, cache = L.maxpool2x2_forward(x, keep_cache=False)
+        assert cache is None and fast.dtype == dtype
+        np.testing.assert_array_equal(fast, y)
 
     def test_gradient_routes_to_argmax(self):
         x = np.zeros((1, 1, 2, 2))

@@ -44,6 +44,15 @@ def test_round_trip_gzip(tmp_path):
     np.testing.assert_array_equal(read_nifti(path).data, vol.data)
 
 
+def test_gzip_bytes_independent_of_file_name(tmp_path):
+    mask = BinaryMask3D(np.random.default_rng(3).random((3, 5, 5)) < 0.5, (1, 1, 1))
+    write_nifti(mask, tmp_path / "seg0.nii.gz")
+    write_nifti(mask, tmp_path / "seg1.nii.gz")
+    raw = (tmp_path / "seg0.nii.gz").read_bytes()
+    assert raw == (tmp_path / "seg1.nii.gz").read_bytes()
+    assert raw[3] == 0  # FLG: no FNAME, no other optional field
+
+
 def test_spacing_from_pixdim(tmp_path):
     vol = small_volume(spacing=(0.96, 0.95, 3.00))
     path = tmp_path / "vol.nii"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from wmhseg import datasets
-from wmhseg.ensemble import EnsembleConfig
+from wmhseg import datasets, ensemble
+from wmhseg.ensemble import EnsembleConfig, ensemble_predict, postprocess, threshold_map
 from wmhseg.errors import FormatError
-from wmhseg.net.unet import build_unet, init_weights
+from wmhseg.net.unet import build_unet, forward, init_weights
 from wmhseg.phantom import PhantomSpec, phantom_generate
 from wmhseg.pipeline import case_training_arrays, predict_case
+from wmhseg.preprocess import preprocess_case
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,30 @@ class TestPredictCase:
         assert not mask.data[:2].any()
         assert not mask.data[-2:].any()
         assert mask.data[4].any()
+
+    @pytest.mark.parametrize("nz, n_trim", [(8, 0), (10, 1), (16, 1)])
+    def test_forwards_only_kept_slices(self, monkeypatch, nz, n_trim):
+        case = phantom_generate(PhantomSpec(dims=(32, 32, nz), lesion_count_range=(2, 3),
+                                            lesion_radius_range=(1.5, 2.5), seed=4), 1)[0]
+        spec = build_unet(base_width=2)
+        models = [init_weights(spec, np.random.default_rng(i)) for i in range(2)]
+        samples, _, record = preprocess_case(case, target=(32, 32))
+        full = ensemble_predict(models, spec, samples)
+        want = postprocess(threshold_map(full, 0.5, spacing=case.flair.spacing), record,
+                           z_trim=0.10, header=case.flair.header)
+
+        batches = []
+
+        def counting_forward(spec, weights, x):
+            batches.append(x.shape[0])
+            return forward(spec, weights, x)
+
+        monkeypatch.setattr(ensemble, "forward", counting_forward)
+        got = predict_case(case, spec, models, EnsembleConfig(model_count=2), target=(32, 32))
+        assert sum(batches) == len(models) * (nz - 2 * n_trim)
+        assert 0 < want.data.sum() < want.data.size
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.header == want.header and got.spacing == want.spacing
 
 
 class TestDatasets:

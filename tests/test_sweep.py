@@ -54,14 +54,3 @@ class TestEnsembleSweep:
             ensemble_sweep(tiny_cases, [1], 1, spec, cfg)
         with pytest.raises(ConfigurationError):
             ensemble_sweep(tiny_cases[:1], [1], 2, spec, cfg)
-
-    def test_workers_equivalent(self, tiny_cases):
-        spec = build_unet(input_channels=2, base_width=4)
-        cfg = TrainConfig(batch_size=16, learning_rate=4e-4, epochs=1, seed=0)
-        serial = ensemble_sweep(tiny_cases, [1], repeats=2, spec=spec,
-                                train_config=cfg, seed=3, workers=1)
-        parallel = ensemble_sweep(tiny_cases, [1], repeats=2, spec=spec,
-                                  train_config=cfg, seed=3, workers=2)
-        for metric in METRICS:
-            assert serial.summary[metric][1] == pytest.approx(
-                parallel.summary[metric][1], nan_ok=True)

@@ -120,6 +120,19 @@ class TestForward:
         np.testing.assert_allclose(together[0], forward(spec, weights, a)[0], atol=1e-12)
         np.testing.assert_allclose(together[1], forward(spec, weights, b)[0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cache_free_forward_matches_cached(self, dtype):
+        spec = build_unet(input_channels=2, base_width=4)
+        rng = np.random.default_rng(8)
+        # Dyadic weights and integer inputs keep the sums exact enough that
+        # pool windows hold tied maxima, where the two pool forms could part.
+        weights = [(np.round(w * 8) / 8, b) for w, b in init_weights(spec, rng, dtype=dtype)]
+        x = rng.integers(0, 3, size=(2, 2, 32, 32)).astype(dtype)
+        p = forward(spec, weights, x)
+        cached, _ = forward_with_caches(spec, weights, x)
+        assert p.dtype == dtype
+        np.testing.assert_array_equal(p, cached)
+
 
 class TestBackprop:
     def test_full_network_gradient_check(self):
