@@ -35,7 +35,7 @@ def backward(spec, weights, batch, truth, smooth: float = 1.0):
     """Dice-loss gradients for one batch. Returns (loss, per-layer grads)."""
     pred, caches = forward_with_caches(spec, weights, batch)
     loss, dpred = dice_loss_grad(pred, np.asarray(truth), smooth)
-    grads, _ = backprop(spec, weights, caches, dpred)
+    grads = backprop(spec, weights, caches, dpred)
     return loss, grads
 
 

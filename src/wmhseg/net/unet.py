@@ -170,7 +170,8 @@ def forward_with_caches(spec, weights, x):
 def backprop(spec, weights, caches, dp):
     """Propagate dLoss/dprobabilities back through recorded caches.
 
-    Returns a per-layer list of (dw, db) matching the weight layout.
+    Returns a per-layer list of (dw, db) matching the weight layout.  The
+    input gradient is not computed: conv01 skips its dx.
     """
     grads = [None] * len(weights)
     dy = dp[:, None, :, :]
@@ -182,7 +183,7 @@ def backprop(spec, weights, caches, dp):
             dy = L.relu_backward(dy, cache)
         elif kind == "conv":
             li, cc = cache
-            dy, dw, db = L.conv2d_backward(dy, weights[li][0], cc)
+            dy, dw, db = L.conv2d_backward(dy, weights[li][0], cc, need_dx=li > 0)
             grads[li] = (dw, db)
         elif kind == "concat":
             dy, dskip = L.concat_backward(dy, cache)
@@ -193,7 +194,8 @@ def backprop(spec, weights, caches, dp):
             # The skip branch re-joins here: the pooled tensor is the same
             # one the matching decoder concat consumed.  Concats appear in
             # reverse stage order, so the matching gradient is the last one.
-            dy = L.maxpool2x2_backward(dy, cache) + skip_grads.pop()
+            dy = L.maxpool2x2_backward(dy, cache)
+            dy += skip_grads.pop()
         else:
             raise RuntimeError(f"unknown cache kind {kind}")
-    return grads, dy
+    return grads

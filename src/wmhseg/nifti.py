@@ -10,7 +10,9 @@ never interpreted.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -32,23 +34,29 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(np.uint8): 2, np.dtype(np.int16): 4, np.dtype(np.float32): 16}
 
 
-def _open_maybe_gzip(path):
+def _read_bytes(path) -> bytes:
+    """The file's bytes, gunzipped when it starts with the gzip magic."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        raw = f.read()
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"corrupt or truncated gzip stream: {exc}") from exc
+
+
+def _endian(hdr) -> str:
+    """struct byte-order prefix of a header, from its sizeof_hdr field."""
+    return ">" if struct.unpack_from(">i", hdr, 0)[0] == HEADER_SIZE else "<"
 
 
 def _unpack_header(raw: bytes):
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"file too short for a NIfTI-1 header ({len(raw)} bytes)")
-    sizeof_hdr = struct.unpack_from("<i", raw, 0)[0]
-    if sizeof_hdr == HEADER_SIZE:
-        endian = "<"
-    elif struct.unpack_from(">i", raw, 0)[0] == HEADER_SIZE:
-        endian = ">"
-    else:
+    endian = _endian(raw)
+    sizeof_hdr = struct.unpack_from(endian + "i", raw, 0)[0]
+    if sizeof_hdr != HEADER_SIZE:
         raise FormatError(f"sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE}")
 
     magic = raw[344:348]
@@ -63,6 +71,13 @@ def _unpack_header(raw: bytes):
     vox_offset = struct.unpack_from(endian + "f", raw, 108)[0]
     scl_slope = struct.unpack_from(endian + "f", raw, 112)[0]
     scl_inter = struct.unpack_from(endian + "f", raw, 116)[0]
+    if not math.isfinite(vox_offset):
+        raise FormatError(f"vox_offset is {vox_offset}")
+    if not all(math.isfinite(p) for p in pixdim[1:4]):
+        raise FormatError(f"non-finite voxel spacing, pixdim = {pixdim}")
+    # scl_inter is ignored, like the NIfTI convention says, when slope is 0.
+    if scl_slope != 0.0 and not (math.isfinite(scl_slope) and math.isfinite(scl_inter)):
+        raise FormatError(f"non-finite scaling: scl_slope {scl_slope}, scl_inter {scl_inter}")
     return endian, dim, datatype, pixdim, vox_offset, scl_slope, scl_inter
 
 
@@ -74,10 +89,7 @@ def read_nifti(path) -> Volume3D:
     "unscaled").  The raw header bytes are kept in the volume's ``header``
     field so a later write can preserve orientation fields.
     """
-    path = Path(path)
-    with _open_maybe_gzip(path) as f:
-        raw = f.read()
-
+    raw = _read_bytes(path)
     endian, dim, datatype, pixdim, vox_offset, scl_slope, scl_inter = _unpack_header(raw)
 
     ndim = dim[0]
@@ -116,26 +128,34 @@ def read_nifti_mask(path) -> BinaryMask3D:
     return BinaryMask3D(vol.data != 0, vol.spacing, vol.header)
 
 
-def _build_header(dims, spacing, datatype_code, template: bytes | None) -> bytearray:
+def _build_header(dims, spacing, datatype_code, template: bytes | None):
+    """(header, byte-order prefix) for a volume.  A template's own fields,
+    byte order and qfac (pixdim[0], written as its sign, 0 read as +1) are
+    kept; without one the header is little-endian with qfac +1."""
     hdr = bytearray(template) if template else bytearray(HEADER_SIZE)
     if len(hdr) != HEADER_SIZE:
         raise FormatError("header template must be 348 bytes")
-    struct.pack_into("<i", hdr, 0, HEADER_SIZE)
+    endian = _endian(hdr)
+    qfac = -1.0 if struct.unpack_from(endian + "f", hdr, 76)[0] < 0 else 1.0
+    struct.pack_into(endian + "i", hdr, 0, HEADER_SIZE)
     nx, ny, nz = dims
-    struct.pack_into("<8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<h", hdr, 70, datatype_code)
-    struct.pack_into("<h", hdr, 72, _DTYPES[datatype_code][1])
+    struct.pack_into(endian + "8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
+    struct.pack_into(endian + "h", hdr, 70, datatype_code)
+    struct.pack_into(endian + "h", hdr, 72, _DTYPES[datatype_code][1])
     sx, sy, sz = spacing
-    struct.pack_into("<8f", hdr, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", hdr, 108, float(VOX_OFFSET))
-    struct.pack_into("<f", hdr, 112, 1.0)  # scl_slope
-    struct.pack_into("<f", hdr, 116, 0.0)  # scl_inter
+    struct.pack_into(endian + "8f", hdr, 76, qfac, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(endian + "f", hdr, 108, float(VOX_OFFSET))
+    struct.pack_into(endian + "f", hdr, 112, 1.0)  # scl_slope
+    struct.pack_into(endian + "f", hdr, 116, 0.0)  # scl_inter
     hdr[344:348] = MAGIC_SINGLE
-    return hdr
+    return hdr, endian
 
 
 def write_nifti(volume, path, datatype=None) -> None:
-    """Write a Volume3D or BinaryMask3D as a little-endian single-file NIfTI-1.
+    """Write a Volume3D or BinaryMask3D as a single-file NIfTI-1.
+
+    A grid read from disk is written in its header's byte order with its
+    orientation fields; one built in memory is written little-endian.
 
     Masks are stored as uint8 {0, 1}.  For volumes the datatype defaults to
     float32 unless the data already has a supported integer dtype.  Paths
@@ -158,8 +178,8 @@ def write_nifti(volume, path, datatype=None) -> None:
             raise UnsupportedTypeError(f"unsupported output dtype {np_dtype}")
     code = _DTYPE_CODES[np.dtype(np_dtype)]
 
-    hdr = _build_header(volume.dims, volume.spacing, code, volume.header)
-    payload = data.astype(np_dtype).astype(np.dtype(np_dtype).newbyteorder("<"))
+    hdr, endian = _build_header(volume.dims, volume.spacing, code, volume.header)
+    payload = data.astype(np.dtype(np_dtype).newbyteorder(endian))
     blob = bytes(hdr) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload.tobytes()
 
     try:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.  The two benchmark criteria (5 and 6) train real
-models and take about 3.1 and 2.6 minutes on a two-core machine.
+models and take about 2.0 and 2.1 minutes on a two-core machine; they are
+marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import time
@@ -169,6 +170,7 @@ def test_criterion_4_architecture():
               f"{n_params} parameters (94.7% of 8,748,609)", ok)
 
 
+@pytest.mark.slow
 def test_criterion_5_phantom_benchmark():
     # Frozen configuration: phantom seed 7, 24 cases (20 train / 4 test),
     # base_width 16, batch 30, lr 2e-4, <=50 epochs with early stop at -0.90.
@@ -199,6 +201,7 @@ def test_criterion_5_phantom_benchmark():
               f"lesion recall {mean_recall:.3f} (>=0.85), {elapsed/60:.1f} min", ok)
 
 
+@pytest.mark.slow
 def test_criterion_6_ensemble_property():
     # Frozen configuration: 12 small phantoms (seed 11), base_width 8,
     # sweep seed 3, sizes {1, 3, 5} with 5 repeats.

@@ -69,6 +69,84 @@ class TestConv2D:
         assert rel_err(db, finite_diff(lambda v: loss_of(x, w, v), b)) < 1e-6
 
 
+class TestConv2DBackwardBlocks:
+    """dw sums its tap products over row blocks; conv01 skips dx."""
+
+    @staticmethod
+    def _direct_dw(x, dy, k):
+        pad = k // 2
+        h, width = x.shape[2:]
+        xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        dw = np.empty((dy.shape[1], x.shape[1], k, k))
+        for i in range(k):
+            for j in range(k):
+                dw[:, :, i, j] = np.einsum("nfyx,ncyx->fc", dy, xpad[:, :, i:i + h, j:j + width])
+        return dw
+
+    def test_several_blocks_ragged_last(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 16, 48, 48))
+        w = rng.normal(size=(16, 16, 3, 3))
+        b = rng.normal(size=16)
+        target = rng.normal(size=(2, 16, 48, 48))
+        _, cache = L.conv2d_forward(x, w, b)
+        rows = cache.shape[0] * 50 * 50 - 2 * 51
+        block = L._dw_block_rows(16, 16)
+        assert block is not None and rows > block and rows % block
+        _, dw, db = L.conv2d_backward(target, w, cache)
+        assert rel_err(dw, self._direct_dw(x, target, 3)) < 1e-10
+        assert rel_err(db, target.sum(axis=(0, 2, 3))) < 1e-10
+
+        def loss_of(w_):
+            return float(np.sum(L.conv2d_forward(x, w_, b)[0] * target))
+
+        for f, c, i, j in rng.integers(0, (16, 16, 3, 3), size=(6, 4)):
+            def loss_at(v):
+                w_ = w.copy()
+                w_[f, c, i, j] = v[0]
+                return loss_of(w_)
+            numeric = finite_diff(loss_at, w[f, c, i, j : j + 1].copy(), eps=1e-3)[0]
+            assert abs(numeric - dw[f, c, i, j]) / abs(dw[f, c, i, j]) < 1e-6
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_tiny_blocks_against_naive(self, k, monkeypatch):
+        # Blocks of 7 rows put block edges inside image rows and taps.
+        monkeypatch.setattr(L, "_dw_block_rows", lambda f, c: 7)
+        rng = np.random.default_rng(30 + k)
+        x = rng.normal(size=(2, 2, 5, 6))
+        w = rng.normal(size=(3, 2, k, k))
+        b = rng.normal(size=3)
+        target = rng.normal(size=(2, 3, 5, 6))
+
+        def loss_of(w_, b_):
+            return float(np.sum(conv2d_naive(x, w_, b_) * target))
+
+        _, cache = L.conv2d_forward(x, w, b)
+        _, dw, db = L.conv2d_backward(target, w, cache)
+        assert rel_err(dw, self._direct_dw(x, target, k)) < 1e-10
+        assert rel_err(dw, finite_diff(lambda v: loss_of(v, b), w)) < 1e-6
+        assert rel_err(db, finite_diff(lambda v: loss_of(w, v), b)) < 1e-6
+
+    def test_block_rule(self):
+        assert L._dw_block_rows(16, 16) == 10**6 // 256
+        assert L._dw_block_rows(976, 1) == 1024
+        assert L._dw_block_rows(977, 1) is None  # one block: 1023 rows would be slower
+        assert L._dw_block_rows(256, 768) is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_dx_same_dw(self, dtype):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 3, 20, 12)).astype(dtype)
+        w = rng.normal(size=(4, 3, 5, 5)).astype(dtype)
+        target = rng.normal(size=(2, 4, 20, 12)).astype(dtype)
+        _, cache = L.conv2d_forward(x, w, np.zeros(4, dtype))
+        _, dw, db = L.conv2d_backward(target, w, cache)
+        no_dx, dw2, db2 = L.conv2d_backward(target, w, cache, need_dx=False)
+        assert no_dx is None
+        np.testing.assert_array_equal(dw2, dw)
+        np.testing.assert_array_equal(db2, db)
+
+
 def _arrays(obj):
     """Every numpy array reachable through nested tuples and lists."""
     if isinstance(obj, np.ndarray):
@@ -227,6 +305,19 @@ class TestMaxPool:
         assert dx.sum() == 1.0
         assert dx[0, 0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_routes_ties_like_argmax(self, dtype):
+        rng = np.random.default_rng(11)
+        x = rng.integers(-2, 3, size=(2, 3, 8, 6)).astype(dtype)
+        dy = rng.normal(size=(2, 3, 4, 3)).astype(dtype)
+        _, cache = L.maxpool2x2_forward(x)
+        # first-max routing: argmax over each window in (0,0), (0,1), (1,0), (1,1) order
+        windows = x.reshape(2, 3, 4, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 4, 3, 4)
+        routed = np.zeros_like(windows)
+        np.put_along_axis(routed, windows.argmax(axis=-1)[..., None], dy[..., None], axis=-1)
+        want = routed.reshape(2, 3, 4, 3, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+        np.testing.assert_array_equal(L.maxpool2x2_backward(dy, cache), want)
+
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(5)
         # distinct values avoid subgradient ambiguity at ties
@@ -254,6 +345,15 @@ class TestUpsample:
     def test_backward_sums_blocks(self):
         dy = np.ones((1, 1, 4, 4))
         np.testing.assert_array_equal(L.upsample2x_backward(dy), np.full((1, 1, 2, 2), 4.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_window_sums(self, dtype):
+        dy = np.random.default_rng(12).normal(size=(2, 3, 6, 8)).astype(dtype)
+        want = np.empty((2, 3, 3, 4), dtype=dtype)
+        for n, c, i, j in np.ndindex(want.shape):
+            want[n, c, i, j] = (dy[n, c, 2 * i, 2 * j] + dy[n, c, 2 * i, 2 * j + 1]
+                                + dy[n, c, 2 * i + 1, 2 * j] + dy[n, c, 2 * i + 1, 2 * j + 1])
+        np.testing.assert_array_equal(L.upsample2x_backward(dy), want)
 
     def test_adjoint_identity(self):
         # <up(x), y> == <x, up^T(y)> for random tensors

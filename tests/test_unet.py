@@ -143,7 +143,7 @@ class TestBackprop:
 
         p, caches = forward_with_caches(spec, weights, x)
         _, dp = dice_loss_grad(p, g)
-        grads, _ = backprop(spec, weights, caches, dp)
+        grads = backprop(spec, weights, caches, dp)
 
         eps = 1e-6
         worst = 0.0
@@ -167,7 +167,7 @@ class TestBackprop:
         spec, weights = tiny_net(base_width=2)
         x = np.random.default_rng(8).normal(size=(1, 2, 16, 16))
         p, caches = forward_with_caches(spec, weights, x)
-        grads, _ = backprop(spec, weights, caches, np.ones_like(p))
+        grads = backprop(spec, weights, caches, np.ones_like(p))
         assert all(g is not None for g in grads)
         for (dw, db), (w, b) in zip(grads, weights):
             assert dw.shape == w.shape and db.shape == b.shape
