@@ -2,7 +2,9 @@
 
 Transforms compose as scale @ shear @ rotation about the slice center.
 Shear acts along the x axis.  Sampling is uniform within the configured
-ranges and fully determined by (seed, sample index, copy index).
+ranges and fully determined by (seed, sample index, copy index).  Each
+output pixel's source coordinate is ``inv(M) @ (p - c) + c``; the gather at
+those coordinates is ``scipy.ndimage.map_coordinates``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 ROTATION_RANGE = (-15.0, 15.0)   # degrees
 SHEAR_RANGE = (-18.0, 18.0)      # degrees
@@ -47,8 +50,10 @@ def sample_affine(rng: np.random.Generator) -> AffineParams:
 def apply_affine(slice2d: np.ndarray, params: AffineParams, interpolation: str = "bilinear"):
     """Resample a 2D array under the affine map, about the slice center.
 
-    Out-of-bounds samples read as 0.  Use "bilinear" for images and
-    "nearest" for label masks; output dims equal input dims either way.
+    Out-of-bounds samples read as 0, and a bilinear sample within one pixel
+    of the edge still weighs its in-bounds neighbours ("grid-constant").  Use
+    "bilinear" for images and "nearest" for label masks (source coordinates
+    rounded half to even); output dims equal input dims either way.
     """
     if interpolation not in ("bilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
@@ -59,32 +64,14 @@ def apply_affine(slice2d: np.ndarray, params: AffineParams, interpolation: str =
     inv = np.linalg.inv(params.matrix())
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     dx, dy = xs - cx, ys - cy
-    src_x = inv[0, 0] * dx + inv[0, 1] * dy + cx
-    src_y = inv[1, 0] * dx + inv[1, 1] * dy + cy
+    coords = np.stack([inv[1, 0] * dx + inv[1, 1] * dy + cy,   # source rows
+                       inv[0, 0] * dx + inv[0, 1] * dy + cx])  # source columns
 
     if interpolation == "nearest":
-        ix = np.rint(src_x).astype(np.int64)
-        iy = np.rint(src_y).astype(np.int64)
-        valid = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-        out = np.zeros_like(slice2d)
-        out[valid] = slice2d[iy[valid], ix[valid]]
-        return out
-
-    x0 = np.floor(src_x).astype(np.int64)
-    y0 = np.floor(src_y).astype(np.int64)
-    fx, fy = src_x - x0, src_y - y0
-    out = np.zeros((h, w), dtype=np.float64)
-    for dyy, dxx, weight in (
-        (0, 0, (1 - fy) * (1 - fx)),
-        (0, 1, (1 - fy) * fx),
-        (1, 0, fy * (1 - fx)),
-        (1, 1, fy * fx),
-    ):
-        yy, xx = y0 + dyy, x0 + dxx
-        valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
-        contrib = np.zeros((h, w), dtype=np.float64)
-        contrib[valid] = slice2d[yy[valid], xx[valid]]
-        out += weight * contrib
+        # scipy's order 0 rounds halves up; rint rounds them to even.
+        return ndimage.map_coordinates(slice2d, np.rint(coords), order=0, mode="grid-constant")
+    out = ndimage.map_coordinates(slice2d.astype(np.float64), coords, order=1,
+                                  mode="grid-constant")
     return out.astype(slice2d.dtype if np.issubdtype(slice2d.dtype, np.floating) else np.float64)
 
 

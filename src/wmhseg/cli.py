@@ -163,7 +163,7 @@ def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target
 @click.option("--lr", type=float, default=2e-4, show_default=True)
 @click.option("--base-width", type=int, default=64, show_default=True)
 @click.option("--input-channels", type=int, default=2, show_default=True)
-@click.option("--augment-factor", type=int, default=1, show_default=True)
+@click.option("--augment-factor", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--stop-loss", type=float, default=None,
               help="Early stop once epoch loss falls below this value.")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -171,15 +171,14 @@ def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target
 def train_cmd(ctx, data_dir, epochs, batch, lr, base_width, input_channels,
               augment_factor, stop_loss, out_path):
     """Train a single model on a dataset directory."""
+    config = TrainConfig(batch_size=batch, learning_rate=lr, epochs=epochs,
+                         seed=ctx.obj["seed"], stop_loss=stop_loss)
     cases = datasets.load_dataset(data_dir)
     cases = [c for c in cases if c.ground_truth is not None]
     modalities = ("flair", "t1")[:input_channels]
     x, g = case_training_arrays(cases, modalities=modalities)
-    if augment_factor > 1:
-        x, g = augment_dataset(x, g, augment_factor, ctx.obj["seed"])
+    x, g = augment_dataset(x, g, augment_factor, ctx.obj["seed"])
     spec = build_unet(input_channels=input_channels, base_width=base_width)
-    config = TrainConfig(batch_size=batch, learning_rate=lr, epochs=epochs,
-                         seed=ctx.obj["seed"], stop_loss=stop_loss)
     weights, history = train(spec, x, g, config)
     save_weights(out_path, spec, weights)
     click.echo(f"final training loss {history['train_loss'][-1]:.4f} "

@@ -3,6 +3,7 @@
 Volumes are stored axial-slice-major: ``data[z, y, x]``, so per-slice
 operations touch contiguous memory.  ``dims`` follows the (nx, ny, nz)
 convention of the NIfTI header, ``spacing`` is (sx, sy, sz) in mm.
+Labeling and hole filling are ``scipy.ndimage`` calls.
 """
 
 from __future__ import annotations
@@ -85,29 +86,16 @@ class ComponentLabeling:
     connectivity: int
 
 
-def _relabel_scan_order(labels: np.ndarray, count: int) -> np.ndarray:
-    """Remap labels so they are numbered by first appearance in C scan order."""
-    if count == 0:
-        return labels
-    flat = labels.ravel()
-    values, first_idx = np.unique(flat, return_index=True)
-    nonzero = values != 0
-    values, first_idx = values[nonzero], first_idx[nonzero]
-    order = np.argsort(first_idx)
-    remap = np.zeros(count + 1, dtype=labels.dtype)
-    remap[values[order]] = np.arange(1, len(values) + 1)
-    return remap[labels]
-
-
 def connected_components_3d(mask: BinaryMask3D, connectivity: int = 26) -> ComponentLabeling:
     """Label 3D connected components under 6/18/26-connectivity.
 
     Labels are deterministic: component k is the k-th one encountered in a
-    (z, y, x) raster scan.  An empty mask yields count 0.
+    (z, y, x) raster scan.  ``ndimage.label`` already numbers them so, since
+    it hands out provisional labels in scan order and merges each component
+    into its smallest one.  An empty mask yields count 0.
     """
     structure = _structure_3d(connectivity)
     labels, count = ndimage.label(mask.data, structure=structure)
-    labels = _relabel_scan_order(labels, count)
     return ComponentLabeling(labels=labels, count=int(count), connectivity=connectivity)
 
 
@@ -121,7 +109,6 @@ def largest_component_2d(mask_slice: np.ndarray) -> np.ndarray:
     labels, count = ndimage.label(mask_slice, structure=_STRUCT_2D_FG)
     if count == 0:
         return np.zeros_like(mask_slice)
-    labels = _relabel_scan_order(labels, count)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     best = 1 + int(np.argmax(sizes[1:]))  # argmax keeps the lowest (earliest) label on ties
     return labels == best

@@ -29,6 +29,8 @@ class TrainConfig:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def backward(spec, weights, batch, truth, smooth: float = 1.0):

@@ -95,7 +95,9 @@ def read_nifti(path) -> Volume3D:
     ndim = dim[0]
     if ndim < 3 or any(d > 1 for d in dim[4 : 1 + max(3, ndim)]):
         raise FormatError(f"expected a 3D volume, header dim = {dim}")
-    nx, ny, nz = (max(1, dim[1]), max(1, dim[2]), max(1, dim[3]))
+    if min(dim[1:4]) < 1:
+        raise FormatError(f"dim[1..3] must be >= 1, header dim = {dim}")
+    nx, ny, nz = dim[1:4]
 
     if datatype not in _DTYPES:
         raise UnsupportedTypeError(f"unsupported NIfTI datatype code {datatype}")

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to check the library implementations.
 
 Everything here is deliberately naive (explicit flood fill, all-pairs
-distances, nested-loop convolution, exhaustive sign enumeration) and shares
-no code with the package.
+distances, per-pixel resampling, nested-loop convolution, exhaustive sign
+enumeration) and shares no code with the package.
 """
 
 from collections import deque
@@ -95,6 +95,35 @@ def boundary_voxels_oracle(mask):
                         out.append((z, y, x))
                         break
     return np.array(out, dtype=np.int64).reshape(-1, 3)
+
+
+def affine_resample_oracle(img, matrix, interpolation):
+    """Pixel-by-pixel resampling of a 2D array under a forward 2x2 map on
+    (x, y) offsets from the center.  Pixels outside the array read as 0; a
+    bilinear sample weighs whichever of its four taps lie inside, and nearest
+    rounds the source coordinate half to even."""
+    img = np.asarray(img)
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    inv = np.linalg.inv(matrix)
+
+    def pixel(y, x):
+        return float(img[y, x]) if 0 <= y < h and 0 <= x < w else 0.0
+
+    out = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            dx, dy = float(x) - cx, float(y) - cy
+            sx = inv[0, 0] * dx + inv[0, 1] * dy + cx
+            sy = inv[1, 0] * dx + inv[1, 1] * dy + cy
+            if interpolation == "nearest":
+                out[y, x] = pixel(int(np.rint(sy)), int(np.rint(sx)))
+                continue
+            x0, y0 = int(np.floor(sx)), int(np.floor(sy))
+            fx, fy = sx - x0, sy - y0
+            out[y, x] = ((1 - fy) * (1 - fx) * pixel(y0, x0) + (1 - fy) * fx * pixel(y0, x0 + 1)
+                         + fy * (1 - fx) * pixel(y0 + 1, x0) + fy * fx * pixel(y0 + 1, x0 + 1))
+    return out
 
 
 def percentile_linear(values, q):

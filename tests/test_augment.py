@@ -14,6 +14,8 @@ from wmhseg.augment import (
     transform_for,
 )
 
+from oracles import affine_resample_oracle
+
 
 class TestMatrix:
     def test_identity_params(self):
@@ -89,6 +91,33 @@ class TestApplyAffine:
         m = (np.random.default_rng(3).random((12, 12)) < 0.4).astype(np.uint8)
         out = apply_affine(m, AffineParams(rotation_deg=7, scale_x=1.05), "nearest")
         assert set(np.unique(out)) <= {0, 1}
+
+    def test_nearest_ties_round_half_to_even(self):
+        # source columns 0.5, 1, 1.5 round to 0, 1, 2 (half up would give 1, 1, 2)
+        x = np.arange(1, 10).reshape(3, 3)
+        np.testing.assert_array_equal(apply_affine(x, AffineParams(scale_x=2.0), "nearest"), x)
+
+    @pytest.mark.parametrize("shape", [(9, 7), (8, 10), (1, 6), (5, 1), (1, 1)],
+                             ids=["odd", "even", "one-row", "one-column", "one-pixel"])
+    def test_matches_per_pixel_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(8):
+            params = AffineParams(rotation_deg=rng.uniform(-40, 40),
+                                  shear_deg=rng.uniform(-25, 25),
+                                  scale_x=rng.uniform(0.6, 1.6), scale_y=rng.uniform(0.6, 1.6))
+            m = params.matrix()
+            x32 = rng.normal(size=shape).astype(np.float32)
+            got = apply_affine(x32, params)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(
+                got, affine_resample_oracle(x32, m, "bilinear").astype(np.float32))
+            x64 = rng.normal(size=shape)
+            np.testing.assert_allclose(apply_affine(x64, params),
+                                       affine_resample_oracle(x64, m, "bilinear"),
+                                       rtol=0, atol=1e-12)
+            labels = rng.random(shape) < 0.5
+            np.testing.assert_array_equal(apply_affine(labels, params, "nearest"),
+                                          affine_resample_oracle(labels, m, "nearest") > 0)
 
     def test_unknown_interpolation(self):
         with pytest.raises(ValueError):

@@ -239,6 +239,17 @@ class TestErrorReporting:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("ERROR ContractError: ")
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_train_rejects_fewer_than_one_epoch(self, tmp_path, epochs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wmhseg.cli", "train", "--data", str(tmp_path),
+             "--epochs", epochs, "--out", str(tmp_path / "m.wmhnet")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"ERROR ContractError: epochs must be >= 1, got {epochs}"]
+
     def test_usage_error_nonzero_exit(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "wmhseg.cli", "rank"],
@@ -257,8 +268,10 @@ class TestErrorReporting:
         (["predict", "--models", "{tmp}/missing.wmhnet", "--flair", "{scan}",
           "--t1", "{scan}"], "--models"),
         (["sweep", "--data", "{tmp}", "--sizes", "1,,x"], "--sizes"),
+        (["train", "--data", "{tmp}", "--augment-factor", "0"], "--augment-factor"),
+        (["train", "--data", "{tmp}", "--augment-factor", "-3"], "--augment-factor"),
     ], ids=["dims", "lesions", "preprocess-target", "predict-target", "models-empty",
-            "models-missing", "sizes"])
+            "models-missing", "sizes", "augment-factor-zero", "augment-factor-negative"])
     def test_bad_list_option(self, runner, tmp_path, args, option):
         scan = tmp_path / "scan.nii.gz"
         scan.write_bytes(b"")  # the option is rejected before any file is read

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from wmhseg.errors import ContractError
 from wmhseg.grids import (
@@ -79,6 +79,18 @@ class TestConnectedComponents3D:
             assert cc.count == expected_count
             np.testing.assert_array_equal(cc.labels, expected_labels)
 
+    @given(arrays(bool, array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=12)),
+           st.sampled_from([6, 18, 26]))
+    @example(np.zeros((3, 1, 12), bool), 26)
+    @example(np.ones((12, 5, 1), bool), 6)
+    @settings(max_examples=80, deadline=None)
+    def test_labels_equal_flood_fill_any_shape(self, m, connectivity):
+        # ndimage.label's own numbering must already be the scan order
+        cc = connected_components_3d(mask(m), connectivity)
+        expected_labels, expected_count = flood_fill_components_3d(m, connectivity)
+        assert cc.count == expected_count
+        np.testing.assert_array_equal(cc.labels, expected_labels)
+
     def test_label_set_contiguous(self):
         rng = np.random.default_rng(5)
         m = rng.random((10, 10, 5)) < 0.3
@@ -109,18 +121,20 @@ class TestLargestComponent2D:
         out = largest_component_2d(m)
         assert out[1, 1:3].all() and not out[4].any()
 
-    @given(arrays(bool, (9, 9)))
-    @settings(max_examples=60, deadline=None)
+    @given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)))
+    @example(np.zeros((1, 7), bool))
+    @example(np.ones((12, 12), bool))
+    @settings(max_examples=80, deadline=None)
     def test_subset_with_max_component_size(self, m):
+        # exactly the first largest flood-fill component in scan order
         out = largest_component_2d(m)
         assert not (out & ~m).any()
-        _, count = flood_fill_components_2d(m)
+        labels, count = flood_fill_components_2d(m)
+        expected = np.zeros_like(m)
         if count:
-            labels, _ = flood_fill_components_2d(m)
-            sizes = [np.sum(labels == k) for k in range(1, count + 1)]
-            assert out.sum() == max(sizes)
-        else:
-            assert out.sum() == 0
+            sizes = np.bincount(labels.ravel())[1:]
+            expected = labels == 1 + int(np.argmax(sizes))
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestFillHoles2D:

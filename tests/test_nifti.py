@@ -240,18 +240,29 @@ def test_truncated_gzip_rejected(tmp_path):
         read_nifti(path)
 
 
+@pytest.mark.parametrize("index", [1, 2, 3])
+@pytest.mark.parametrize("value", [0, -5])
+def test_nonpositive_dim_rejected(tmp_path, index, value):
+    path = oriented_file(tmp_path / "src.nii", "<", 1.0)
+    _corrupt(path, 40 + 2 * index, "<h", value)
+    with pytest.raises(FormatError, match=r"dim\[1\.\.3\]"):
+        read_nifti(path)
+
+
 def _fuzz_one(endian, gz, edits, cut):
     with tempfile.TemporaryDirectory() as tmp:
         path = oriented_file(Path(tmp) / "f.nii", endian, 1.0)
         raw = bytearray(path.read_bytes())
         for offset, fmt, value in edits:
             struct.pack_into(endian + fmt, raw, offset, value)
+        dim = struct.unpack_from(endian + "8h", raw, 40)
         raw = gzip.compress(bytes(raw), mtime=0) if gz else bytes(raw)
         path.write_bytes(raw[: cut % (len(raw) + 1)] if cut is not None else raw)
         try:
-            read_nifti(path)
+            vol = read_nifti(path)
         except FormatError:
-            pass
+            return
+        assert vol.data.shape == (dim[3], dim[2], dim[1])
 
 
 header_float = st.floats(width=32, allow_nan=True, allow_infinity=True)
@@ -268,5 +279,6 @@ header_edit = st.one_of(
        edits=st.lists(header_edit, max_size=4),
        cut=st.one_of(st.none(), st.integers(0, 2**16)))
 def test_fuzz_corrupt_headers_fail_typed(endian, gz, edits, cut):
-    # Any read either succeeds or raises FormatError; nothing else escapes.
+    # Any read either raises FormatError or returns the header's shape;
+    # nothing else escapes.
     _fuzz_one(endian, gz, edits, cut)

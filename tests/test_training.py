@@ -31,6 +31,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ContractError):
             TrainConfig(learning_rate=-1.0)
+        for epochs in (0, -1):
+            with pytest.raises(ContractError, match="epochs must be >= 1"):
+                TrainConfig(epochs=epochs)
 
 
 class TestBackward:
