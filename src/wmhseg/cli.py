@@ -162,7 +162,7 @@ def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target
 @click.option("--batch", type=int, default=30, show_default=True)
 @click.option("--lr", type=float, default=2e-4, show_default=True)
 @click.option("--base-width", type=int, default=64, show_default=True)
-@click.option("--input-channels", type=int, default=2, show_default=True)
+@click.option("--input-channels", type=click.IntRange(1, 2), default=2, show_default=True)
 @click.option("--augment-factor", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--stop-loss", type=float, default=None,
               help="Early stop once epoch loss falls below this value.")

@@ -1,11 +1,14 @@
 """Numpy forward/backward primitives for the 2D segmentation network.
 
-All tensors are (N, C, H, W) at the function boundary.  Convolutions are
-same-padded and column-free: the input is copied once into a zero-padded
-channels-last buffer, and each of the k*k kernel offsets is one GEMM over a
-shifted contiguous window of that buffer, accumulated into a single output
-(the k^2-GEMM or "kn2row" form).  No im2col buffer is built, and the backward
-pass needs only the padded input.
+Tensors have (N, C, H, W) shapes at the function boundary, and every layer
+hands back channels-last memory: the transpose of a (N, H, W, C) buffer.
+Inputs of either layout give bit-identical results.
+
+Convolutions are same-padded and column-free: the input is copied once into a
+zero-padded channels-last buffer, and each of the k*k kernel offsets is one
+GEMM over a shifted contiguous window of that buffer, accumulated into a
+single output (the k^2-GEMM or "kn2row" form) that y is a view of.  No im2col
+buffer is built, and the backward pass needs only the padded input.
 
 BLAS adds each tap's product into the accumulator in place (gemm, beta=1): no
 per-tap temporary, no separate add pass.  Every conv GEMM uses scipy's BLAS,
@@ -22,19 +25,16 @@ Below 1024 rows a block costs more in calls than it saves (5-row blocks at
 768 -> 256 channels ran about 5x slower), so wide layers keep one product per
 tap.
 
-ReLU and max pooling take ``keep_cache``.  Inference passes False: ReLU then
-clips its input in place and builds no mask, and pooling returns the max of
-the four strided views of each 2x2 window with no cache.  Training pools the
-same way and caches three boolean selectors, for the first, second and third
-quarter of each window, that route the gradient to the first max (the fourth
-quarter takes what none of them takes).  Backward writes the four strided
-quarters; upsampling's backward is four strided adds.
+Only the conv returns a cache.  ReLU clips in place: its backward needs only
+the output, which is > 0 exactly where the input is.  Pooling is the max of
+the four strided views of each 2x2 window; its backward takes input and max.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
+from scipy.special import expit
 
 
 def _pad_nhwc(x, pad, dtype):
@@ -73,14 +73,15 @@ def _shift_accumulate(src, taps):
 def conv2d_forward(x, w, b):
     """Same-padded 2D convolution (cross-correlation).
 
-    x: (N, C, H, W); w: (F, C, k, k); b: (F,).  Returns (y, cache); the
-    cache is the padded channels-last input.
+    x: (N, C, H, W); w: (F, C, k, k); b: (F,).  Returns (y, cache): y is a
+    channels-last view of the accumulator, the cache the padded channels-last
+    input.
     """
     _, _, h, width = x.shape
     k = w.shape[2]
     xp = _pad_nhwc(x, k // 2, np.result_type(x, w))
     out = _shift_accumulate(xp, w.transpose(2, 3, 1, 0))
-    y = np.ascontiguousarray(out[:, :h, :width].transpose(0, 3, 1, 2))
+    y = out[:, :h, :width].transpose(0, 3, 1, 2)
     y += b[:, None, None]
     return y, xp
 
@@ -101,13 +102,13 @@ def conv2d_backward(dy, w, xp, need_dx=True):
     pad = k // 2
     h, width = dy.shape[2:]
 
-    db = dy.sum(axis=(0, 2, 3))
     dyp = _pad_nhwc(dy, pad, dy.dtype)
+    db = dyp.sum(axis=(0, 1, 2))  # the padded copy sums the same whatever dy's layout
     dx = None
     if need_dx:
         # dx is the forward conv of the padded dy with the flipped kernel.
         dx = _shift_accumulate(dyp, w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))
-        dx = np.ascontiguousarray(dx[:, :h, :width].transpose(0, 3, 1, 2))
+        dx = dx[:, :h, :width].transpose(0, 3, 1, 2)
 
     # dw[:, :, i, j] pairs output pixel r (stored at row r + pad*(Wp+1) of the
     # padded dy) with input row r + i*Wp + j; dy's zero border masks the rest.
@@ -131,78 +132,68 @@ def conv2d_backward(dy, w, xp, need_dx=True):
     return dx, dw, db
 
 
-def relu_forward(x, keep_cache=True):
-    """max(x, 0) and the mask of positive inputs; without ``keep_cache`` x is
-    clipped in place and the cache is None."""
-    if not keep_cache:
-        return np.maximum(x, 0, out=x), None
-    return np.maximum(x, 0), x > 0
+def relu_forward(x):
+    """max(x, 0), clipped in place."""
+    return np.maximum(x, 0, out=x)
 
 
-def relu_backward(dy, cache):
-    return dy * cache
+def relu_backward(dy, y):
+    """Gradient through ReLU given its output ``y``."""
+    return dy * (y > 0)
 
 
-def maxpool2x2_forward(x, keep_cache=True):
-    """2x2 max pooling, stride 2: the max of the window's four strided views.
+def _quarters(x):
+    """The four strided views of x's 2x2 windows, in (0,0), (0,1), (1,0), (1,1) order."""
+    return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2],
+            x[:, :, 1::2, 1::2])
 
-    Ties route the gradient to the first max in the order (0,0), (0,1), (1,0),
-    (1,1).  The cache is three boolean selectors, one per quarter but the
-    last, each True where the gradient goes to that quarter; without
-    ``keep_cache`` it is None.
-    """
-    quarters = (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2],
-                x[:, :, 1::2, 1::2])
+
+def maxpool2x2_forward(x):
+    """2x2 max pooling, stride 2: the max of the window's four strided views."""
+    quarters = _quarters(x)
     top = np.maximum(quarters[0], quarters[1])
-    y = np.maximum(top, np.maximum(quarters[2], quarters[3]), out=top)
-    if not keep_cache:
-        return y, None
+    return np.maximum(top, np.maximum(quarters[2], quarters[3]), out=top)
+
+
+def maxpool2x2_backward(dy, x, y):
+    """Gradient through pooling given its input ``x`` and output ``y``; ties
+    route it to the first max in ``_quarters`` order."""
+    quarters = _quarters(x)
     first = quarters[0] == y
     second = np.greater(quarters[1] == y, first)  # a tie with the first loses
     third = np.greater(quarters[2] == y, first | second)
-    return y, (first, second, third)
-
-
-def maxpool2x2_backward(dy, cache):
-    first, second, third = cache
     n, c, h, w = dy.shape
-    dx = np.empty((n, c, 2 * h, 2 * w), dtype=dy.dtype)
-    np.multiply(dy, first, out=dx[:, :, 0::2, 0::2])
-    np.multiply(dy, second, out=dx[:, :, 0::2, 1::2])
-    np.multiply(dy, third, out=dx[:, :, 1::2, 0::2])
-    np.multiply(dy, ~(first | second | third), out=dx[:, :, 1::2, 1::2])
+    dx = np.empty((n, 2 * h, 2 * w, c), dtype=dy.dtype).transpose(0, 3, 1, 2)
+    for out, route in zip(_quarters(dx), (first, second, third, ~(first | second | third))):
+        np.multiply(dy, route, out=out)
     return dx
 
 
 def upsample2x_forward(x):
     """Parameter-free nearest-neighbor 2x upsampling."""
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    n, c, h, w = x.shape
+    y = np.empty((n, h, 2, w, 2, c), dtype=x.dtype)
+    y[...] = x.transpose(0, 2, 3, 1)[:, :, None, :, None]
+    return y.reshape(n, 2 * h, 2 * w, c).transpose(0, 3, 1, 2)
 
 
 def upsample2x_backward(dy):
-    dx = dy[:, :, 0::2, 0::2] + dy[:, :, 0::2, 1::2]
-    dx += dy[:, :, 1::2, 0::2]
-    dx += dy[:, :, 1::2, 1::2]
-    return dx
+    q = _quarters(dy)
+    return q[0] + q[1] + q[2] + q[3]
 
 
 def concat_forward(a, b):
     """Channel concatenation (skip connections)."""
-    return np.concatenate([a, b], axis=1), a.shape[1]
-
-
-def concat_backward(dy, split):
-    return dy[:, :split], dy[:, split:]
+    n, c, h, w = a.shape
+    y = np.empty((n, h, w, c + b.shape[1]), dtype=np.result_type(a, b))
+    np.concatenate([a.transpose(0, 2, 3, 1), b.transpose(0, 2, 3, 1)], axis=3, out=y)
+    return y.transpose(0, 3, 1, 2)
 
 
 def sigmoid_forward(x):
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y, y
+    return expit(x)
 
 
-def sigmoid_backward(dy, cache):
-    return dy * cache * (1.0 - cache)
+def sigmoid_backward(dy, y):
+    """Gradient through the sigmoid given its output ``y``."""
+    return dy * y * (1.0 - y)

@@ -6,6 +6,10 @@ stages, a two-conv bottleneck, and four decoder stages that nearest-upsample
 2x, concatenate the matching encoder feature map and apply two convolutions.
 A final 1x1 convolution with logistic activation produces the probability
 map.  ReLU follows every other convolution.
+
+One forward path serves inference and training; activations are channels-last
+in memory (see ``layers``), and the training cache is the 19 padded conv inputs
+plus the probability map.
 """
 
 from __future__ import annotations
@@ -107,95 +111,95 @@ def _check_input(spec, weights, x):
             raise ContractError(f"weight shape {w.shape} does not match layer {c}")
 
 
-def _forward_impl(spec, weights, x, keep_caches):
-    caches = [] if keep_caches else None
-
-    def record(kind, cache):
-        if keep_caches:
-            caches.append((kind, cache))
+def _forward_impl(spec, weights, x, xps=None):
+    """The network's one forward path; appends each conv's padded input to the
+    list ``xps`` when one is given."""
+    x = np.asarray(x, dtype=weights[0][0].dtype)
+    _check_input(spec, weights, x)
 
     def conv_relu(h, li, relu=True):
         w, b = weights[li]
-        h, cc = L.conv2d_forward(h, w, b)
-        record("conv", (li, cc))
-        if relu:
-            h, rc = L.relu_forward(h, keep_cache=keep_caches)
-            record("relu", rc)
-        return h
+        h, xp = L.conv2d_forward(h, w, b)
+        if xps is not None:
+            xps.append(xp)
+        return L.relu_forward(h) if relu else h
 
-    h = x
-    li = 0
-    skips = []
+    h, li, skips = x, 0, []
     for _ in range(N_STAGES):
-        h = conv_relu(h, li)
-        h = conv_relu(h, li + 1)
+        h = conv_relu(conv_relu(h, li), li + 1)
         li += 2
         skips.append(h)
-        h, pc = L.maxpool2x2_forward(h, keep_cache=keep_caches)
-        record("pool", pc)
+        h = L.maxpool2x2_forward(h)
 
-    h = conv_relu(h, li)
-    h = conv_relu(h, li + 1)
+    h = conv_relu(conv_relu(h, li), li + 1)
     li += 2
 
     for skip in reversed(skips):
-        h = L.upsample2x_forward(h)
-        record("upsample", None)
-        h, split = L.concat_forward(h, skip)
-        record("concat", split)
-        h = conv_relu(h, li)
-        h = conv_relu(h, li + 1)
+        h = L.concat_forward(L.upsample2x_forward(h), skip)
+        h = conv_relu(conv_relu(h, li), li + 1)
         li += 2
 
-    h = conv_relu(h, li, relu=False)
-    p, sc = L.sigmoid_forward(h)
-    record("sigmoid", sc)
-    return p[:, 0], caches
+    return L.sigmoid_forward(conv_relu(h, li, relu=False))[:, 0]
 
 
 def forward(spec: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
     """Run the network on a batch (N, C, H, W) -> probability maps (N, H, W)."""
-    x = np.asarray(x, dtype=weights[0][0].dtype)
-    _check_input(spec, weights, x)
-    p, _ = _forward_impl(spec, weights, x, keep_caches=False)
-    return p
+    return _forward_impl(spec, weights, x)
 
 
 def forward_with_caches(spec, weights, x):
-    x = np.asarray(x, dtype=weights[0][0].dtype)
-    _check_input(spec, weights, x)
-    return _forward_impl(spec, weights, x, keep_caches=True)
+    """forward, plus the training cache: (the 19 padded conv inputs, p)."""
+    xps = []
+    p = _forward_impl(spec, weights, x, xps)
+    return p, (xps, p)
 
 
 def backprop(spec, weights, caches, dp):
-    """Propagate dLoss/dprobabilities back through recorded caches.
+    """Propagate dLoss/dprobabilities back through the network.
 
-    Returns a per-layer list of (dw, db) matching the weight layout.  The
-    input gradient is not computed: conv01 skips its dx.
+    Each ReLU output is read back from the padded input of the conv that
+    consumed it: the next conv's interior, the skip half of a decoder conv's
+    input, or every other pixel of its upsampled half.  Returns a per-layer
+    list of (dw, db) matching the weight layout.  The input gradient is not
+    computed: conv01 skips its dx.
     """
+    xps, p = caches
     grads = [None] * len(weights)
-    dy = dp[:, None, :, :]
-    skip_grads = []
-    for kind, cache in reversed(caches):
-        if kind == "sigmoid":
-            dy = L.sigmoid_backward(dy, cache)
-        elif kind == "relu":
-            dy = L.relu_backward(dy, cache)
-        elif kind == "conv":
-            li, cc = cache
-            dy, dw, db = L.conv2d_backward(dy, weights[li][0], cc, need_dx=li > 0)
-            grads[li] = (dw, db)
-        elif kind == "concat":
-            dy, dskip = L.concat_backward(dy, cache)
-            skip_grads.append(dskip)
-        elif kind == "upsample":
-            dy = L.upsample2x_backward(dy)
-        elif kind == "pool":
-            # The skip branch re-joins here: the pooled tensor is the same
-            # one the matching decoder concat consumed.  Concats appear in
-            # reverse stage order, so the matching gradient is the last one.
-            dy = L.maxpool2x2_backward(dy, cache)
-            dy += skip_grads.pop()
-        else:
-            raise RuntimeError(f"unknown cache kind {kind}")
+
+    def conv_input(li):
+        """Conv li's unpadded input, a (N, C, H, W) view of its cache."""
+        pad = spec.layers[li].kernel // 2
+        inner = slice(pad, -pad or None)
+        return xps[li][:, inner, inner].transpose(0, 3, 1, 2)
+
+    def conv_back(dy, li, y=None):
+        """Back through the ReLU with output ``y``, if given, then conv li."""
+        if y is not None:
+            dy = L.relu_backward(dy, y)
+        dx, dw, db = L.conv2d_backward(dy, weights[li][0], xps[li], need_dx=li > 0)
+        grads[li] = (dw, db)
+        return dx
+
+    li = len(weights) - 1
+    dy = conv_back(L.sigmoid_backward(dp[:, None], p[:, None]), li)
+    y = conv_input(li)
+    skips = []  # (skip map, its gradient), deepest stage last
+    for _ in range(N_STAGES):
+        li -= 2
+        dy = conv_back(dy, li + 1, y)
+        dy = conv_back(dy, li, conv_input(li + 1))
+        x = conv_input(li)
+        up = spec.layers[li - 1].out_channels
+        skips.append((x[:, up:], dy[:, up:]))
+        dy = L.upsample2x_backward(dy[:, :up])
+        y = x[:, :up, ::2, ::2]  # the ReLU output this stage upsampled
+
+    for _ in range(N_STAGES + 1):  # the bottleneck, then the encoder stages
+        li -= 2
+        dy = conv_back(dy, li + 1, y)
+        dy = conv_back(dy, li, conv_input(li + 1))
+        if skips:  # conv li's input is the pooled skip below it
+            y, dskip = skips.pop()
+            dy = L.maxpool2x2_backward(dy, y, conv_input(li))
+            dy += dskip
     return grads

@@ -41,7 +41,8 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Reads fields off a memoryview; a field is a slice of it, not a copy."""
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
@@ -71,7 +72,7 @@ def save_weights(path, spec: NetworkSpec, weights) -> None:
 
 def load_weights(path):
     """Read a weight file; returns (spec, weights). Verifies the checksum."""
-    blob = Path(path).read_bytes()
+    blob = memoryview(Path(path).read_bytes())
     if len(blob) < len(MAGIC) + 4:
         raise FormatError("weight file too short")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
@@ -109,7 +110,8 @@ def load_weights(path):
             dtype = np.dtype(_CODE_DTYPES[code])
             count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
             raw = r.take(count * dtype.itemsize)
+            # The one copy: writeable arrays that own their memory.
             arrays.append(np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
-                          .astype(dtype).reshape(shape))
+                          .reshape(shape).astype(dtype))
         weights.append((arrays[0], arrays[1]))
     return spec, weights

@@ -123,14 +123,14 @@ def test_criterion_3_gradient_checks():
     # relu
     x = rng.normal(size=(1, 2, 8, 8)) + 0.1  # keep clear of the kink
     t = rng.normal(size=x.shape)
-    _, cache = L.relu_forward(x)
-    check(L.relu_backward(t, cache), lambda: float(np.sum(L.relu_forward(x)[0] * t)), x)
+    y = L.relu_forward(x.copy())
+    check(L.relu_backward(t, y), lambda: float(np.sum(L.relu_forward(x.copy()) * t)), x)
     # maxpool (distinct values avoid ties)
     x = rng.permutation(128).astype(np.float64).reshape(1, 2, 8, 8)
     t = rng.normal(size=(1, 2, 4, 4))
-    _, cache = L.maxpool2x2_forward(x)
-    check(L.maxpool2x2_backward(t, cache),
-          lambda: float(np.sum(L.maxpool2x2_forward(x)[0] * t)), x)
+    y = L.maxpool2x2_forward(x)
+    check(L.maxpool2x2_backward(t, x, y),
+          lambda: float(np.sum(L.maxpool2x2_forward(x) * t)), x)
     # upsample
     x = rng.normal(size=(1, 2, 4, 4))
     t = rng.normal(size=(1, 2, 8, 8))
@@ -138,8 +138,8 @@ def test_criterion_3_gradient_checks():
     # sigmoid
     x = rng.normal(size=(1, 1, 8, 8))
     t = rng.normal(size=x.shape)
-    _, cache = L.sigmoid_forward(x)
-    check(L.sigmoid_backward(t, cache), lambda: float(np.sum(L.sigmoid_forward(x)[0] * t)), x)
+    y = L.sigmoid_forward(x)
+    check(L.sigmoid_backward(t, y), lambda: float(np.sum(L.sigmoid_forward(x) * t)), x)
     # dice loss (s = 1)
     p = rng.random((1, 8, 8))
     g = (rng.random((1, 8, 8)) < 0.4).astype(np.float64)

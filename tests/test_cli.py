@@ -270,8 +270,11 @@ class TestErrorReporting:
         (["sweep", "--data", "{tmp}", "--sizes", "1,,x"], "--sizes"),
         (["train", "--data", "{tmp}", "--augment-factor", "0"], "--augment-factor"),
         (["train", "--data", "{tmp}", "--augment-factor", "-3"], "--augment-factor"),
+        (["train", "--data", "{tmp}", "--input-channels", "0"], "--input-channels"),
+        (["train", "--data", "{tmp}", "--input-channels", "3"], "--input-channels"),
     ], ids=["dims", "lesions", "preprocess-target", "predict-target", "models-empty",
-            "models-missing", "sizes", "augment-factor-zero", "augment-factor-negative"])
+            "models-missing", "sizes", "augment-factor-zero", "augment-factor-negative",
+            "input-channels-zero", "input-channels-three"])
     def test_bad_list_option(self, runner, tmp_path, args, option):
         scan = tmp_path / "scan.nii.gz"
         scan.write_bytes(b"")  # the option is rejected before any file is read

@@ -255,53 +255,110 @@ class TestConv2DAccumulation:
         assert rel_err(dw, finite_diff(lambda v: loss_of(x64, v), w64)) < 1e-6
 
 
+def channels_last(x):
+    """The same values as x, in (N, H, W, C) memory."""
+    return x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+
+
+class TestChannelsLastLayout:
+    """Layers hand back channels-last memory and give bit-identical results on
+    a channels-last and a C-order input."""
+
+    @staticmethod
+    def _check(fn, *args):
+        """fn on C-order and on channels-last 4-D args; returns both results."""
+        want = fn(*args)
+        got = fn(*(channels_last(a) if isinstance(a, np.ndarray) and a.ndim == 4 else a
+                   for a in args))
+        for w, g in zip(_arrays(want), _arrays(got), strict=True):
+            np.testing.assert_array_equal(g, w)
+        return want, got
+
+    @staticmethod
+    def _assert_channels_last(*arrays):
+        for a in arrays:
+            assert a.strides[1] == a.itemsize, a.strides
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv(self, k, dtype):
+        rng = np.random.default_rng(40 + k)
+        x = rng.normal(size=(2, 3, 6, 7)).astype(dtype)
+        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        b = rng.normal(size=4).astype(dtype)
+        dy = rng.normal(size=(2, 4, 6, 7)).astype(dtype)
+        (y, xp), _ = self._check(L.conv2d_forward, x, w, b)
+        (dx, _, _), _ = self._check(lambda dy_: L.conv2d_backward(dy_, w, xp), dy)
+        self._assert_channels_last(y, dx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elementwise_pool_upsample(self, dtype):
+        rng = np.random.default_rng(50)
+        x = rng.integers(-2, 3, size=(2, 3, 8, 6)).astype(dtype)  # ties in the pool
+        dy = rng.normal(size=(2, 3, 8, 6)).astype(dtype)
+        dpool = rng.normal(size=(2, 3, 4, 3)).astype(dtype)
+        y, _ = self._check(lambda x_: L.relu_forward(x_.copy(order="K")), x)
+        pooled, pooled_cl = self._check(L.maxpool2x2_forward, x)
+        p, p_cl = self._check(L.sigmoid_forward, dy)
+        self._assert_channels_last(
+            pooled_cl, p_cl,
+            self._check(L.relu_backward, dy, y)[1],
+            self._check(L.maxpool2x2_backward, dpool, x, pooled)[1],
+            self._check(L.upsample2x_backward, dy)[1],
+            # these two allocate channels-last whatever their input
+            *self._check(L.upsample2x_forward, dpool),
+            *self._check(L.concat_forward, x, dy),
+            self._check(L.sigmoid_backward, dy, p)[1])
+
+
 class TestRelu:
     def test_forward(self):
         x = np.array([[-2.0, 0.0, 3.0]])
-        y, _ = L.relu_forward(x)
+        y = L.relu_forward(x)
         np.testing.assert_array_equal(y, [[0, 0, 3]])
 
     def test_backward_masks_negatives(self):
         x = np.array([[-1.0, 2.0]])
-        _, cache = L.relu_forward(x)
-        np.testing.assert_array_equal(L.relu_backward(np.ones_like(x), cache), [[0, 1]])
+        y = L.relu_forward(x.copy())
+        np.testing.assert_array_equal(L.relu_backward(np.ones_like(x), y), [[0, 1]])
 
     def test_cache_free_clips_in_place(self):
         x = np.array([[-2.0, 0.0, 3.0, -0.5]])
-        want, _ = L.relu_forward(x)
-        y, cache = L.relu_forward(x, keep_cache=False)
-        assert cache is None and y is x
+        want = np.maximum(x, 0)
+        y = L.relu_forward(x)
+        assert y is x
         np.testing.assert_array_equal(y, want)
 
 
 class TestMaxPool:
     def test_forward_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        y, _ = L.maxpool2x2_forward(x)
+        y = L.maxpool2x2_forward(x)
         np.testing.assert_array_equal(y[0, 0], [[5, 7], [13, 15]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cache_free_matches_argmax_pool(self, dtype):
         # small integers make many windows hold a tied maximum
         x = np.random.default_rng(6).integers(-2, 3, size=(2, 3, 8, 6)).astype(dtype)
-        y, _ = L.maxpool2x2_forward(x)
-        fast, cache = L.maxpool2x2_forward(x, keep_cache=False)
-        assert cache is None and fast.dtype == dtype
+        windows = x.reshape(2, 3, 4, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 4, 3, 4)
+        y = np.take_along_axis(windows, windows.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+        fast = L.maxpool2x2_forward(x)
+        assert fast.dtype == dtype
         np.testing.assert_array_equal(fast, y)
 
     def test_gradient_routes_to_argmax(self):
         x = np.zeros((1, 1, 2, 2))
         x[0, 0, 1, 0] = 5.0
-        y, cache = L.maxpool2x2_forward(x)
-        dx = L.maxpool2x2_backward(np.ones_like(y), cache)
+        y = L.maxpool2x2_forward(x)
+        dx = L.maxpool2x2_backward(np.ones_like(y), x, y)
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 1, 0] = 1.0
         np.testing.assert_array_equal(dx, expected)
 
     def test_tie_routes_to_first(self):
         x = np.zeros((1, 1, 2, 2))  # all equal
-        y, cache = L.maxpool2x2_forward(x)
-        dx = L.maxpool2x2_backward(np.ones_like(y), cache)
+        y = L.maxpool2x2_forward(x)
+        dx = L.maxpool2x2_backward(np.ones_like(y), x, y)
         assert dx.sum() == 1.0
         assert dx[0, 0, 0, 0] == 1.0
 
@@ -310,13 +367,13 @@ class TestMaxPool:
         rng = np.random.default_rng(11)
         x = rng.integers(-2, 3, size=(2, 3, 8, 6)).astype(dtype)
         dy = rng.normal(size=(2, 3, 4, 3)).astype(dtype)
-        _, cache = L.maxpool2x2_forward(x)
+        y = L.maxpool2x2_forward(x)
         # first-max routing: argmax over each window in (0,0), (0,1), (1,0), (1,1) order
         windows = x.reshape(2, 3, 4, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 4, 3, 4)
         routed = np.zeros_like(windows)
         np.put_along_axis(routed, windows.argmax(axis=-1)[..., None], dy[..., None], axis=-1)
         want = routed.reshape(2, 3, 4, 3, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
-        np.testing.assert_array_equal(L.maxpool2x2_backward(dy, cache), want)
+        np.testing.assert_array_equal(L.maxpool2x2_backward(dy, x, y), want)
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(5)
@@ -325,11 +382,11 @@ class TestMaxPool:
         target = rng.normal(size=(1, 2, 2, 3))
 
         def loss_of(x_):
-            y, _ = L.maxpool2x2_forward(x_)
+            y = L.maxpool2x2_forward(x_)
             return float(np.sum(y * target))
 
-        _, cache = L.maxpool2x2_forward(x)
-        dx = L.maxpool2x2_backward(target, cache)
+        y = L.maxpool2x2_forward(x)
+        dx = L.maxpool2x2_backward(target, x, y)
         assert rel_err(dx, finite_diff(loss_of, x)) < 1e-6
 
 
@@ -370,27 +427,27 @@ class TestConcat:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(2, 3, 4, 4))
         b = rng.normal(size=(2, 5, 4, 4))
-        y, split = L.concat_forward(a, b)
+        y = L.concat_forward(a, b)
         assert y.shape == (2, 8, 4, 4)
-        da, db = L.concat_backward(y, split)
+        da, db = y[:, :3], y[:, 3:]
         np.testing.assert_array_equal(da, a)
         np.testing.assert_array_equal(db, b)
 
 
 class TestSigmoid:
     def test_values(self):
-        y, _ = L.sigmoid_forward(np.array([0.0]))
+        y = L.sigmoid_forward(np.array([0.0]))
         assert y[0] == 0.5
 
     def test_extreme_inputs_stable(self):
-        y, _ = L.sigmoid_forward(np.array([-1000.0, 1000.0]))
+        y = L.sigmoid_forward(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(y))
         assert y[0] == pytest.approx(0.0, abs=1e-12)
         assert y[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self):
         x = np.linspace(-5, 5, 21)
-        y, _ = L.sigmoid_forward(x)
+        y = L.sigmoid_forward(x)
         np.testing.assert_allclose(y + y[::-1], 1.0, atol=1e-12)
 
     def test_gradient_finite_difference(self):
@@ -399,9 +456,9 @@ class TestSigmoid:
         target = rng.normal(size=x.shape)
 
         def loss_of(x_):
-            y, _ = L.sigmoid_forward(x_)
+            y = L.sigmoid_forward(x_)
             return float(np.sum(y * target))
 
-        _, cache = L.sigmoid_forward(x)
-        dx = L.sigmoid_backward(target, cache)
+        y = L.sigmoid_forward(x)
+        dx = L.sigmoid_backward(target, y)
         assert rel_err(dx, finite_diff(loss_of, x)) < 1e-6

@@ -173,7 +173,82 @@ class TestBackprop:
             assert dw.shape == w.shape and db.shape == b.shape
 
 
+def _level(li):
+    """How many 2x poolings deep layer li works (encoder, bottleneck, decoder, head)."""
+    return li // 2 if li < 10 else max(0, 3 - (li - 10) // 2)
+
+
+class TestTrainingCache:
+    def test_only_padded_conv_inputs_and_p(self):
+        spec, weights = tiny_net()
+        x = np.random.default_rng(10).normal(size=(2, 2, 32, 48))
+        p, caches = forward_with_caches(spec, weights, x)
+        xps, cached_p = caches
+        assert cached_p is p and p.shape == (2, 32, 48)
+        assert len(xps) == 19
+        for li, (xp, c) in enumerate(zip(xps, spec.layers)):
+            pad = c.kernel // 2
+            h, w = 32 >> _level(li), 48 >> _level(li)
+            assert xp.shape == (2, h + 2 * pad, w + 2 * pad, c.in_channels)
+
+
+class TestLayerCallContract:
+    """perfbench's layer trace names conv rows by call order and reads NCHW
+    shapes off the conv arguments; these are the calls it relies on."""
+
+    # wmhseg.net.layers names the trace times (concat_backward is gone: a
+    # decoder conv's input gradient splits by slicing)
+    TRACED = ("conv2d_forward", "conv2d_backward", "relu_forward", "relu_backward",
+              "sigmoid_forward", "sigmoid_backward", "concat_forward",
+              "maxpool2x2_forward", "maxpool2x2_backward",
+              "upsample2x_forward", "upsample2x_backward")
+
+    def test_conv_calls_in_layer_order(self, monkeypatch):
+        from wmhseg.net import layers
+        from wmhseg.net.training import backward
+
+        calls = []
+        for name in ("conv2d_forward", "conv2d_backward"):
+            def wrapped(*args, _fn=getattr(layers, name), _name=name, **kwargs):
+                calls.append((_name, args[0].shape, args[1]))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(layers, name, wrapped)
+
+        spec, weights = tiny_net()
+        rng = np.random.default_rng(11)
+        n, h, w = 2, 32, 48
+        x = rng.normal(size=(n, 2, h, w))
+        truth = (rng.random((n, h, w)) < 0.3).astype(np.float64)
+        backward(spec, weights, x, truth)
+
+        assert [c[0] for c in calls] == ["conv2d_forward"] * 19 + ["conv2d_backward"] * 19
+        for li, (_, shape, kernel) in enumerate(calls[:19]):
+            c = spec.layers[li]
+            assert shape == (n, c.in_channels, h >> _level(li), w >> _level(li))
+            assert kernel is weights[li][0]
+        for li, (_, shape, kernel) in zip(reversed(range(19)), calls[19:]):
+            c = spec.layers[li]
+            assert shape == (n, c.out_channels, h >> _level(li), w >> _level(li))
+            assert kernel is weights[li][0]
+
+    def test_traced_names_exist(self):
+        from wmhseg.net import layers
+
+        for name in self.TRACED:
+            assert callable(getattr(layers, name, None)), name
+
+
 class TestWeightsIO:
+    def test_loaded_arrays_own_writeable_memory(self, tmp_path):
+        spec, weights = tiny_net(base_width=4)
+        path = tmp_path / "model.wmhnet"
+        save_weights(path, spec, weights)
+        _, loaded = load_weights(path)
+        for pair in loaded:
+            for a in pair:
+                assert a.base is None and a.flags.writeable  # Adam updates in place
+
+
     def test_round_trip(self, tmp_path):
         spec, weights = tiny_net(base_width=4)
         path = tmp_path / "model.wmhnet"
