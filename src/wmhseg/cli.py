@@ -85,7 +85,7 @@ def main(ctx, seed, config_file):
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--count", type=int, default=20, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--dims", default="64,64,16", show_default=True, help="nx,ny,nz",
               callback=_comma_list(click.INT, 3))
 @click.option("--lesions", default="3,6", show_default=True, help="min,max lesion count",
@@ -243,7 +243,7 @@ def rank(table_csv, out_csv):
 @main.command()
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
 @click.option("--sizes", default="1,3,5", show_default=True,
-              callback=_comma_list(click.INT))
+              callback=_comma_list(click.IntRange(min=1)))
 @click.option("--repeats", type=int, default=5, show_default=True)
 @click.option("--epochs", type=int, default=15, show_default=True)
 @click.option("--batch", type=int, default=30, show_default=True)

@@ -29,17 +29,6 @@ class EnsembleConfig:
             )
 
 
-def _pad_to_multiple(samples: np.ndarray, multiple: int = DOWNSAMPLE_FACTOR):
-    """Zero-pad (N, C, H, W) spatial dims up to the next multiple."""
-    _, _, h, w = samples.shape
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    if ph == 0 and pw == 0:
-        return samples, (h, w)
-    padded = np.pad(samples, ((0, 0), (0, 0), (0, ph), (0, pw)))
-    return padded, (h, w)
-
-
 def ensemble_predict(models, spec, samples: np.ndarray) -> np.ndarray:
     """Voxelwise mean of the per-model probability maps.
 
@@ -53,17 +42,13 @@ def ensemble_predict(models, spec, samples: np.ndarray) -> np.ndarray:
         raise ContractError("ensemble needs at least one model")
     samples = np.asarray(samples)
     n, _, h, w = samples.shape
+    pad = ((0, 0), (0, 0), (0, -h % DOWNSAMPLE_FACTOR), (0, -w % DOWNSAMPLE_FACTOR))
     total = np.zeros((n, h, w))
     for z in range(n):
-        padded, _ = _pad_to_multiple(samples[z : z + 1])
+        padded = np.pad(samples[z : z + 1], pad)
         for weights in models:
             total[z] += forward(spec, weights, padded)[0, :h, :w]
     return total / len(models)
-
-
-def trimmed_slice_count(nz: int, z_trim: float) -> int:
-    """Slices cleared at each end of an nz-slice stack: floor(z_trim * nz)."""
-    return int(z_trim * nz)
 
 
 def threshold_map(prob: np.ndarray, threshold: float,
@@ -76,13 +61,11 @@ def threshold_map(prob: np.ndarray, threshold: float,
 
 
 def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
-                z_trim: float = 0.10, header: bytes | None = None) -> BinaryMask3D:
-    """Clear near-end axial slices, then invert crop/pad to the original dims.
+                header: bytes | None = None) -> BinaryMask3D:
+    """Map a processed slice stack back through the recorded crop/pad.
 
-    The first and last floor(z_trim * nz) slices are wiped (anatomically
-    implausible detections), then the stack is mapped back through the
-    recorded geometry.  ``header`` (the source scan's NIfTI header bytes)
-    goes to the returned mask, so writing it keeps the scan's orientation.
+    ``header`` (the source scan's NIfTI header bytes) goes to the returned
+    mask, so writing it keeps the scan's orientation.
     """
     nz = mask.data.shape[0]
     nx, ny, _ = record.original_dims
@@ -90,11 +73,5 @@ def postprocess(mask: BinaryMask3D, record: PreprocessRecord,
         raise ContractError(
             f"mask has {nz} slices but the record says {record.original_dims[2]}"
         )
-    trimmed = mask.data.copy()
-    n_trim = trimmed_slice_count(nz, z_trim)
-    if n_trim > 0:
-        trimmed[:n_trim] = False
-        trimmed[nz - n_trim :] = False
-
-    restored = invert_crop_or_pad(trimmed, record.offsets, (ny, nx))
+    restored = invert_crop_or_pad(mask.data, record.offsets, (ny, nx))
     return BinaryMask3D(data=restored, spacing=mask.spacing, header=header)

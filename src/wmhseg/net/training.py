@@ -18,11 +18,9 @@ class TrainConfig:
     learning_rate: float = 2e-4
     epochs: int = 50
     seed: int = 0
-    smooth: float = 1.0
     # Optional early stop: finish once the epoch training loss drops below
     # this value (dice loss is in [-1, 0), lower is better).
     stop_loss: float | None = None
-    dtype: type = np.float32
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -33,10 +31,10 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def backward(spec, weights, batch, truth, smooth: float = 1.0):
+def backward(spec, weights, batch, truth):
     """Dice-loss gradients for one batch. Returns (loss, per-layer grads)."""
     pred, caches = forward_with_caches(spec, weights, batch)
-    loss, dpred = dice_loss_grad(pred, np.asarray(truth), smooth)
+    loss, dpred = dice_loss_grad(pred, np.asarray(truth))
     grads = backprop(spec, weights, caches, dpred)
     return loss, grads
 
@@ -63,7 +61,7 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
     per-epoch "train_loss" and, when a (val_samples, val_truth) pair is
     given, "val_loss".
     """
-    samples = np.asarray(samples, dtype=config.dtype)
+    samples = np.asarray(samples, dtype=np.float32)
     truth = np.asarray(truth)
     if samples.shape[0] == 0:
         raise ContractError("training data is empty")
@@ -71,7 +69,7 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
         raise ContractError("samples and truth disagree on the number of slices")
 
     rng = np.random.default_rng(config.seed)
-    weights = init_weights(spec, rng, dtype=config.dtype)
+    weights = init_weights(spec, rng)
     optimizer = Adam(config.learning_rate)
 
     n = samples.shape[0]
@@ -83,9 +81,7 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            loss, grads = backward(
-                spec, weights, samples[batch_idx], truth[batch_idx], config.smooth
-            )
+            loss, grads = backward(spec, weights, samples[batch_idx], truth[batch_idx])
             if baseline_loss is None:
                 baseline_loss = loss  # loss of the very first batch, pre-update
             optimizer.step(weights, grads)
@@ -94,10 +90,8 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
         epoch_loss = float(np.mean(epoch_losses))
         history["train_loss"].append(epoch_loss)
         if validation is not None:
-            val_pred = forward(spec, weights, np.asarray(validation[0], dtype=config.dtype))
-            history["val_loss"].append(
-                dice_loss(val_pred, np.asarray(validation[1]), config.smooth)
-            )
+            val_pred = forward(spec, weights, validation[0])
+            history["val_loss"].append(dice_loss(val_pred, np.asarray(validation[1])))
         _check_divergence(epoch_loss, baseline_loss, history["train_loss"])
         if config.stop_loss is not None and epoch_loss < config.stop_loss:
             break

@@ -9,12 +9,10 @@ from .ensemble import (
     ensemble_predict,
     postprocess,
     threshold_map,
-    trimmed_slice_count,
 )
+from .errors import ContractError
 from .grids import BinaryMask3D
 from .preprocess import (
-    DEFAULT_FLAIR_THRESHOLD,
-    DEFAULT_T1_THRESHOLD,
     DEFAULT_TARGET,
     CaseRecord,
     preprocess_case,
@@ -27,51 +25,40 @@ def predict_case(
     models,
     config: EnsembleConfig | None = None,
     target=DEFAULT_TARGET,
-    flair_threshold: float = DEFAULT_FLAIR_THRESHOLD,
-    t1_threshold: float = DEFAULT_T1_THRESHOLD,
     modalities: tuple[str, ...] = ("flair", "t1"),
 ) -> BinaryMask3D:
     """Segment one case; the output mask is on the case's original grid and
     carries the FLAIR's header, so it overlays the scan when written.
 
-    Only the slices ``postprocess`` keeps are forwarded through the
-    ensemble; the z-trimmed ones get probability 0.
+    The first and last floor(z_trim_fraction * nz) axial slices are
+    anatomically implausible detections: they are never forwarded through
+    the ensemble and get probability 0, so no threshold in (0, 1) keeps them.
     """
     config = config or EnsembleConfig(model_count=len(models))
-    samples, _, record = preprocess_case(
-        case,
-        target=target,
-        flair_threshold=flair_threshold,
-        t1_threshold=t1_threshold,
-        modalities=modalities,
-    )
+    samples, _, record = preprocess_case(case, target=target, modalities=modalities)
     nz = samples.shape[0]
-    n_trim = trimmed_slice_count(nz, config.z_trim_fraction)
+    n_trim = int(config.z_trim_fraction * nz)
     prob = np.zeros((nz, *samples.shape[2:]))
     prob[n_trim : nz - n_trim] = ensemble_predict(models, spec, samples[n_trim : nz - n_trim])
     mask = threshold_map(prob, config.threshold, spacing=case.flair.spacing)
-    return postprocess(mask, record, z_trim=config.z_trim_fraction,
-                       header=case.flair.header)
+    return postprocess(mask, record, header=case.flair.header)
 
 
-def case_training_arrays(cases, target=None, modalities=("flair", "t1"),
-                         flair_threshold=DEFAULT_FLAIR_THRESHOLD,
-                         t1_threshold=DEFAULT_T1_THRESHOLD):
+def case_training_arrays(cases, target=None, modalities=("flair", "t1")):
     """Stack preprocessed slices of many cases into (X, G) training arrays.
 
-    ``target`` defaults to each case's own in-plane dims (useful for
-    phantoms that are already network-sized).
+    Every case needs a ground-truth mask; an empty list or a case without
+    one raises ContractError.  ``target`` defaults to each case's own
+    in-plane dims (useful for phantoms that are already network-sized).
     """
+    if not cases:
+        raise ContractError("no training cases")
     xs, gs = [], []
     for case in cases:
+        if case.ground_truth is None:
+            raise ContractError(f"case {case.subject_id} has no ground-truth mask")
         tgt = target or case.flair.data.shape[1:]
-        samples, truth, _ = preprocess_case(
-            case, target=tgt, modalities=modalities,
-            flair_threshold=flair_threshold, t1_threshold=t1_threshold,
-        )
+        samples, truth, _ = preprocess_case(case, target=tgt, modalities=modalities)
         xs.append(samples)
-        if truth is not None:
-            gs.append(truth)
-    x = np.concatenate(xs)
-    g = np.concatenate(gs) if gs else None
-    return x, g
+        gs.append(truth)
+    return np.concatenate(xs), np.concatenate(gs)

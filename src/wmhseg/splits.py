@@ -56,16 +56,14 @@ def split_cross_scanner(cases) -> list[SplitPlan]:
     return plans
 
 
-def split_ratio(cases, test_fraction: float = 0.2, seed: int = 0,
-                per_scanner: bool = True) -> SplitPlan:
+def split_ratio(cases, test_fraction: float = 0.2, seed: int = 0) -> SplitPlan:
     """A single random train/validation split, stratified per scanner."""
     if not 0.0 < test_fraction < 1.0:
         raise ContractError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     groups: dict[str, list[str]] = {}
     for c in cases:
-        key = c.scanner_id if per_scanner else "all"
-        groups.setdefault(key, []).append(c.subject_id)
+        groups.setdefault(c.scanner_id, []).append(c.subject_id)
 
     test: list[str] = []
     for ids in groups.values():

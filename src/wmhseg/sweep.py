@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import EnsembleConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .metrics import MetricReport, evaluate_case
 from .net.training import TrainConfig, train
 from .pipeline import case_training_arrays, predict_case
@@ -60,15 +60,22 @@ def ensemble_sweep(
     Cases are split once (stratified by scanner) into training and held-out
     evaluation sets; each (size, repeat) cell trains its own models with a
     derived seed, evaluates the averaged ensemble on the held-out cases and
-    the per-size mean/std is taken across repeats.
+    the per-size mean/std is taken across repeats.  Every case needs a
+    ground-truth mask; a case without one raises ContractError before any
+    training.
     """
     sizes = tuple(sizes)
     if not sizes:
         raise ConfigurationError("sizes must be nonempty")
+    if min(sizes) < 1:
+        raise ConfigurationError(f"every ensemble size must be >= 1, got {sizes}")
     if repeats < 2:
         raise ConfigurationError(f"repeats must be >= 2, got {repeats}")
     if len(cases) < 2:
         raise ConfigurationError("need at least two cases to split")
+    for case in cases:
+        if case.ground_truth is None:
+            raise ContractError(f"case {case.subject_id} has no ground-truth mask")
 
     plan = split_ratio(cases, test_fraction=eval_fraction, seed=seed)
     by_id = {c.subject_id: c for c in cases}
@@ -76,20 +83,15 @@ def ensemble_sweep(
     eval_cases = [by_id[i] for i in plan.test_ids]
     x, g = case_training_arrays(train_cases)
 
-    trained = {}
+    per_metric: dict[str, dict[int, list[float]]] = {m: {s: [] for s in sizes} for m in METRICS}
     for size in sizes:
+        config = EnsembleConfig(model_count=size, threshold=threshold, z_trim_fraction=z_trim)
         for repeat in range(repeats):
+            models = []
             for member in range(size):
                 model_seed = hash((seed, size, repeat, member)) & 0x7FFFFFFF
                 cfg = replace(train_config, seed=model_seed)
-                trained[size, repeat, member], _ = train(spec, x, g, cfg)
-
-    per_metric: dict[str, dict[int, list[float]]] = {m: {s: [] for s in sizes} for m in METRICS}
-    for size in sizes:
-        for repeat in range(repeats):
-            models = [trained[(size, repeat, member)] for member in range(size)]
-            config = EnsembleConfig(model_count=size, threshold=threshold,
-                                    z_trim_fraction=z_trim)
+                models.append(train(spec, x, g, cfg)[0])
             reports = []
             for case in eval_cases:
                 pred = predict_case(case, spec, models, config,

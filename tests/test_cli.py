@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wmhseg import cli
+from wmhseg import cli, sweep
 from wmhseg.cli import main
 from wmhseg.net.unet import build_unet, init_weights
 from wmhseg.net.weights_io import save_weights
@@ -268,12 +268,16 @@ class TestErrorReporting:
         (["predict", "--models", "{tmp}/missing.wmhnet", "--flair", "{scan}",
           "--t1", "{scan}"], "--models"),
         (["sweep", "--data", "{tmp}", "--sizes", "1,,x"], "--sizes"),
+        (["sweep", "--data", "{tmp}", "--sizes", "3,0"], "--sizes"),
+        (["phantom", "--count", "-1"], "--count"),
+        (["phantom", "--count", "0"], "--count"),
         (["train", "--data", "{tmp}", "--augment-factor", "0"], "--augment-factor"),
         (["train", "--data", "{tmp}", "--augment-factor", "-3"], "--augment-factor"),
         (["train", "--data", "{tmp}", "--input-channels", "0"], "--input-channels"),
         (["train", "--data", "{tmp}", "--input-channels", "3"], "--input-channels"),
     ], ids=["dims", "lesions", "preprocess-target", "predict-target", "models-empty",
-            "models-missing", "sizes", "augment-factor-zero", "augment-factor-negative",
+            "models-missing", "sizes", "sizes-zero", "count-negative", "count-zero",
+            "augment-factor-zero", "augment-factor-negative",
             "input-channels-zero", "input-channels-three"])
     def test_bad_list_option(self, runner, tmp_path, args, option):
         scan = tmp_path / "scan.nii.gz"
@@ -282,6 +286,36 @@ class TestErrorReporting:
         result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert f"Error: Invalid value for '{option}'" in result.output
+
+    @pytest.mark.parametrize("command, masks_removed, message", [
+        (["train", "--epochs", "1"], "all", "no training cases"),
+        (["sweep", "--sizes", "1", "--repeats", "2"], "all",
+         "case phantom_000 has no ground-truth mask"),
+        (["sweep", "--sizes", "1", "--repeats", "2"], "one",
+         "case phantom_002 has no ground-truth mask"),
+    ], ids=["train-no-masks", "sweep-no-masks", "sweep-one-mask-missing"])
+    def test_missing_masks_error_line(self, runner, tmp_path, monkeypatch, command,
+                                      masks_removed, message):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "6",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        subjects = sorted(data.glob("phantom_*"))
+        for subject in subjects if masks_removed == "all" else subjects[2:3]:
+            (subject / "mask.nii.gz").unlink()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a missing mask must fail before any training")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(sweep, "train", no_training)
+        args = command + ["--data", str(data), "--out", str(tmp_path / "out")]
+        with runner.isolation() as (_, err, _):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.run(args)
+            sys.stderr.flush()
+        assert exit_info.value.code == 2
+        lines = err.getvalue().decode().splitlines()
+        assert lines == [f"ERROR ContractError: {message}"]
 
     @pytest.mark.parametrize("line, option", [("seed=abc", "--seed")])
     def test_bad_config_integer(self, runner, tmp_path, line, option):

@@ -5,7 +5,6 @@ import pytest
 
 from wmhseg.ensemble import (
     EnsembleConfig,
-    _pad_to_multiple,
     ensemble_predict,
     postprocess,
     threshold_map,
@@ -33,20 +32,6 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
             EnsembleConfig(**kwargs)
-
-
-class TestPadToMultiple:
-    def test_200_pads_to_208(self):
-        x = np.ones((2, 2, 200, 200))
-        padded, orig = _pad_to_multiple(x)
-        assert padded.shape == (2, 2, 208, 208)
-        assert orig == (200, 200)
-        assert not padded[:, :, 200:, :].any()
-
-    def test_already_divisible_untouched(self):
-        x = np.ones((1, 2, 32, 48))
-        padded, orig = _pad_to_multiple(x)
-        assert padded is x and orig == (32, 48)
 
 
 class TestEnsemblePredict:
@@ -77,7 +62,7 @@ class TestEnsemblePredict:
     def test_matches_batched_forward_mean(self):
         spec, models = self._models(3, base_width=4)
         x = np.random.default_rng(3).normal(size=(4, 2, 20, 25)).astype(np.float32)
-        padded, _ = _pad_to_multiple(x)
+        padded = np.pad(x, ((0, 0), (0, 0), (0, 12), (0, 7)))  # up to 32 x 32
         batched = np.mean([forward(spec, m, padded) for m in models], axis=0)
         np.testing.assert_allclose(ensemble_predict(models, spec, x),
                                    batched[:, :20, :25], rtol=0, atol=1e-6)
@@ -125,33 +110,19 @@ def record_for(dims, offsets=((0, 0), (0, 0))):
 
 
 class TestPostprocess:
-    def test_z_trim_48_slices(self):
-        # 10% of 48 -> floor = 4 slices cleared at each end
-        data = np.ones((48, 10, 10), bool)
-        mask = BinaryMask3D(data, (1, 1, 3))
-        out = postprocess(mask, record_for((10, 10, 48)), z_trim=0.10)
-        cleared = [z for z in range(48) if not out.data[z].any()]
-        assert cleared == [0, 1, 2, 3, 44, 45, 46, 47]
-
-    def test_z_trim_fraction_zero(self):
-        data = np.ones((10, 4, 4), bool)
-        out = postprocess(BinaryMask3D(data, (1, 1, 1)),
-                          record_for((4, 4, 10)), z_trim=0.0)
-        assert out.population == data.sum()
-
     def test_never_adds_voxels_in_overlap(self):
+        # on a trivial geometry the mask comes back unchanged
         rng = np.random.default_rng(3)
         data = rng.random((20, 8, 8)) < 0.3
-        out = postprocess(BinaryMask3D(data, (1, 1, 1)),
-                          record_for((8, 8, 20)), z_trim=0.10)
-        assert not (out.data & ~data).any()
+        out = postprocess(BinaryMask3D(data, (1, 1, 1)), record_for((8, 8, 20)))
+        np.testing.assert_array_equal(out.data, data)
 
     def test_idempotent_on_trivial_geometry(self):
         rng = np.random.default_rng(4)
         data = rng.random((20, 8, 8)) < 0.3
         rec = record_for((8, 8, 20))
-        once = postprocess(BinaryMask3D(data, (1, 1, 1)), rec, z_trim=0.10)
-        twice = postprocess(once, rec, z_trim=0.10)
+        once = postprocess(BinaryMask3D(data, (1, 1, 1)), rec)
+        twice = postprocess(once, rec)
         np.testing.assert_array_equal(once.data, twice.data)
 
     def test_inverts_crop_geometry(self):
@@ -159,7 +130,7 @@ class TestPostprocess:
         data = np.zeros((10, 16, 16), bool)
         data[5, 8, 8] = True
         rec = record_for((20, 20, 10), offsets=((-2, -2), (-2, -2)))
-        out = postprocess(BinaryMask3D(data, (1, 1, 1)), rec, z_trim=0.0)
+        out = postprocess(BinaryMask3D(data, (1, 1, 1)), rec)
         assert out.data.shape == (10, 20, 20)
         assert out.data[5, 10, 10]
         assert out.population == 1

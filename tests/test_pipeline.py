@@ -3,7 +3,7 @@ import pytest
 
 from wmhseg import datasets, ensemble
 from wmhseg.ensemble import EnsembleConfig, ensemble_predict, postprocess, threshold_map
-from wmhseg.errors import FormatError
+from wmhseg.errors import ContractError, FormatError
 from wmhseg.net.unet import build_unet, forward, init_weights
 from wmhseg.phantom import PhantomSpec, phantom_generate
 from wmhseg.pipeline import case_training_arrays, predict_case
@@ -33,6 +33,16 @@ class TestCaseTrainingArrays:
         x, _ = case_training_arrays(cases, modalities=("flair",))
         assert x.shape[1] == 1
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ContractError, match="no training cases"):
+            case_training_arrays([])
+
+    def test_case_without_mask_rejected(self, cases):
+        stripped = type(cases[1])(cases[1].subject_id, cases[1].scanner_id,
+                                  cases[1].flair, cases[1].t1, None)
+        with pytest.raises(ContractError, match=f"case {stripped.subject_id} has no"):
+            case_training_arrays([cases[0], stripped, cases[2]])
+
 
 class TestPredictCase:
     def test_output_on_original_grid(self, cases):
@@ -55,16 +65,22 @@ class TestPredictCase:
         assert not mask.data[-2:].any()
         assert mask.data[4].any()
 
-    @pytest.mark.parametrize("nz, n_trim", [(8, 0), (10, 1), (16, 1)])
-    def test_forwards_only_kept_slices(self, monkeypatch, nz, n_trim):
+    @pytest.mark.parametrize("nz, z_trim, n_trim", [
+        (8, 0.10, 0), (10, 0.10, 1), (16, 0.10, 1),
+        (48, 0.10, 4),  # floor(0.1 * 48) = 4 slices at each end
+        (10, 0.0, 0),   # no trim: every slice is forwarded
+    ], ids=["8-0", "10-1", "16-1", "48-4", "untrimmed"])
+    def test_forwards_only_kept_slices(self, monkeypatch, nz, z_trim, n_trim):
         case = phantom_generate(PhantomSpec(dims=(32, 32, nz), lesion_count_range=(2, 3),
                                             lesion_radius_range=(1.5, 2.5), seed=4), 1)[0]
         spec = build_unet(base_width=2)
         models = [init_weights(spec, np.random.default_rng(i)) for i in range(2)]
         samples, _, record = preprocess_case(case, target=(32, 32))
         full = ensemble_predict(models, spec, samples)
+        full[:n_trim] = 0.0
+        full[nz - n_trim :] = 0.0
         want = postprocess(threshold_map(full, 0.5, spacing=case.flair.spacing), record,
-                           z_trim=0.10, header=case.flair.header)
+                           header=case.flair.header)
 
         batches = []
 
@@ -73,7 +89,8 @@ class TestPredictCase:
             return forward(spec, weights, x)
 
         monkeypatch.setattr(ensemble, "forward", counting_forward)
-        got = predict_case(case, spec, models, EnsembleConfig(model_count=2), target=(32, 32))
+        config = EnsembleConfig(model_count=2, z_trim_fraction=z_trim)
+        got = predict_case(case, spec, models, config, target=(32, 32))
         assert sum(batches) == len(models) * (nz - 2 * n_trim)
         assert 0 < want.data.sum() < want.data.size
         np.testing.assert_array_equal(got.data, want.data)

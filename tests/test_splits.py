@@ -105,8 +105,3 @@ class TestRatio:
             split_ratio(sixty_cases(), test_fraction=0.0)
         with pytest.raises(ContractError):
             split_ratio(sixty_cases(), test_fraction=1.0)
-
-    def test_unstratified(self):
-        cases = sixty_cases()
-        plan = split_ratio(cases, test_fraction=0.5, seed=0, per_scanner=False)
-        assert len(plan.test_ids) == 30

@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from wmhseg.errors import ConfigurationError
+from wmhseg import sweep
+from wmhseg.errors import ConfigurationError, ContractError
 from wmhseg.net.training import TrainConfig
 from wmhseg.net.unet import build_unet
 from wmhseg.phantom import PhantomSpec, phantom_generate
@@ -45,12 +46,31 @@ class TestEnsembleSweep:
         assert [r["size"] for r in rows] == ["1", "2"]
         assert "dsc_mean" in rows[0] and "f1_std" in rows[0]
 
-    def test_validation(self, tiny_cases):
+    def test_validation(self, tiny_cases, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("validation must fail before any training")
+
+        monkeypatch.setattr(sweep, "train", no_training)
         spec = build_unet(base_width=4)
         cfg = TrainConfig(epochs=1)
+        with pytest.raises(ConfigurationError, match="every ensemble size must be >= 1"):
+            ensemble_sweep(tiny_cases, [1, 0], 2, spec, cfg)
         with pytest.raises(ConfigurationError):
             ensemble_sweep(tiny_cases, [], 2, spec, cfg)
         with pytest.raises(ConfigurationError):
             ensemble_sweep(tiny_cases, [1], 1, spec, cfg)
         with pytest.raises(ConfigurationError):
             ensemble_sweep(tiny_cases[:1], [1], 2, spec, cfg)
+
+    @pytest.mark.parametrize("missing", [0, 4], ids=["held-out", "training"])
+    def test_case_without_mask_rejected_before_training(self, tiny_cases, monkeypatch,
+                                                         missing):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a missing mask must fail before any training")
+
+        monkeypatch.setattr(sweep, "train", no_training)
+        cases = list(tiny_cases)
+        c = cases[missing]
+        cases[missing] = type(c)(c.subject_id, c.scanner_id, c.flair, c.t1, None)
+        with pytest.raises(ContractError, match=f"case {c.subject_id} has no"):
+            ensemble_sweep(cases, [1], 2, build_unet(base_width=4), TrainConfig(epochs=1))

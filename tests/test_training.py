@@ -3,7 +3,8 @@ import pytest
 
 from wmhseg.errors import ContractError, DivergenceError
 from wmhseg.net.training import TrainConfig, backward, train
-from wmhseg.net.unet import build_unet, forward
+from wmhseg.net.loss import dice_loss
+from wmhseg.net.unet import build_unet, forward, init_weights
 
 
 def blob_dataset(n=8, side=16, seed=0):
@@ -24,7 +25,6 @@ class TestTrainConfig:
         assert cfg.batch_size == 30
         assert cfg.learning_rate == pytest.approx(2e-4)
         assert cfg.epochs == 50
-        assert cfg.smooth == 1.0
 
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -46,6 +46,14 @@ class TestBackward:
         assert -1.0 <= loss < 0.0
         assert len(grads) == len(weights)
         assert all(np.isfinite(g).all() for dw_db in grads for g in dw_db)
+
+    def test_loss_is_dice_with_unit_smooth(self):
+        spec = build_unet(base_width=2)
+        weights = init_weights(spec, np.random.default_rng(1))
+        samples, truth = blob_dataset(2, seed=1)
+        loss, _ = backward(spec, weights, samples, truth)
+        want = dice_loss(forward(spec, weights, samples), truth, smooth=1.0)
+        assert loss == pytest.approx(want, rel=1e-6)
 
 
 class TestTrain:
