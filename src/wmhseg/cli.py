@@ -174,6 +174,9 @@ def train_cmd(ctx, data_dir, epochs, batch, lr, base_width, input_channels,
     config = TrainConfig(batch_size=batch, learning_rate=lr, epochs=epochs,
                          seed=ctx.obj["seed"], stop_loss=stop_loss)
     cases = datasets.load_dataset(data_dir)
+    skipped = [c.subject_id for c in cases if c.ground_truth is None]
+    if skipped:
+        click.echo(f"skipped {len(skipped)} subject(s) without mask.nii.gz: {', '.join(skipped)}")
     cases = [c for c in cases if c.ground_truth is not None]
     modalities = ("flair", "t1")[:input_channels]
     x, g = case_training_arrays(cases, modalities=modalities)

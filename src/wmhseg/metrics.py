@@ -59,7 +59,7 @@ def dsc(truth: BinaryMask3D, pred: BinaryMask3D) -> float:
     vg, vp = truth.population, pred.population
     if vg + vp == 0:
         return 1.0
-    overlap = int(np.logical_and(truth.data, pred.data).sum())
+    overlap = int(np.count_nonzero(truth.data & pred.data))
     return 2.0 * overlap / (vg + vp)
 
 
@@ -98,11 +98,11 @@ def _lesion_scores(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int):
     pred_cc = connected_components_3d(pred, connectivity)
 
     # Ground-truth components touched by any predicted voxel.
-    touched_truth = np.unique(truth_cc.labels[pred.data])
-    n_detected = int((touched_truth != 0).sum())
+    touched_truth = np.unique(truth_cc.labels.flat[np.flatnonzero(pred.data)])
+    n_detected = int(np.count_nonzero(touched_truth))
     # Predicted components touched by any truth voxel.
-    touched_pred = np.unique(pred_cc.labels[truth.data])
-    n_pred_hit = int((touched_pred != 0).sum())
+    touched_pred = np.unique(pred_cc.labels.flat[np.flatnonzero(truth.data)])
+    n_pred_hit = int(np.count_nonzero(touched_pred))
     n_false = pred_cc.count - n_pred_hit
     recall = n_detected / truth_cc.count if truth_cc.count else None
     f1 = n_pred_hit / pred_cc.count if pred_cc.count else None

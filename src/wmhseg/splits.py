@@ -57,7 +57,11 @@ def split_cross_scanner(cases) -> list[SplitPlan]:
 
 
 def split_ratio(cases, test_fraction: float = 0.2, seed: int = 0) -> SplitPlan:
-    """A single random train/validation split, stratified per scanner."""
+    """A single random train/validation split, stratified per scanner.
+
+    Every scanner keeps at least one case for test, so a dataset with one
+    case per scanner has nothing left to train on; that raises ContractError.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ContractError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
@@ -72,4 +76,8 @@ def split_ratio(cases, test_fraction: float = 0.2, seed: int = 0) -> SplitPlan:
         n_test = max(1, round(test_fraction * len(ids)))
         test.extend(ids[:n_test])
     train = tuple(c.subject_id for c in cases if c.subject_id not in set(test))
+    if not train:
+        raise ContractError(
+            f"ratio split leaves no training case: each of the {len(groups)} scanners "
+            f"kept at least one case for test, which takes all {len(test)} cases")
     return SplitPlan(fold_id="ratio", kind="ratio", train_ids=train, test_ids=tuple(test))

@@ -6,10 +6,12 @@ benchmark run, so each is checked by binding the arguments perfbench passes.
 """
 
 import inspect
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from wmhseg import pipeline
+from wmhseg import metrics, pipeline
 from wmhseg.ensemble import EnsembleConfig
 from wmhseg.net import training
 
@@ -33,6 +35,11 @@ PATCHED = [
     (pipeline, "postprocess"),
     (training, "dice_loss_grad"),
     (training, "forward_with_caches"),
+    (metrics, "evaluate_case"),
+    (metrics, "dsc"),
+    (metrics, "hausdorff95"),
+    (metrics, "avd"),
+    (metrics, "connected_components_3d"),
 ]
 
 
@@ -44,3 +51,20 @@ def test_perfbench_call_binds(fn, args, keywords):
 @pytest.mark.parametrize("module, name", PATCHED, ids=[f"{m.__name__}.{n}" for m, n in PATCHED])
 def test_traced_name_exists(module, name):
     assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_evaluate_case_calls_through_metrics_globals(monkeypatch):
+    # The trace times these rows by replacing the names in metrics' module
+    # namespace; a call that bypasses them drops its row without an error.
+    calls = Counter()
+    for name in ("dsc", "hausdorff95", "avd", "connected_components_3d"):
+        def counted(*args, _name=name, _fn=getattr(metrics, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(metrics, name, counted)
+    data = np.zeros((3, 4, 5), bool)
+    data[1, 1:3, 1:4] = True
+    truth = metrics.BinaryMask3D(data, (1.0, 1.0, 1.0))
+    pred = metrics.BinaryMask3D(np.roll(data, 1, axis=2), (1.0, 1.0, 1.0))
+    metrics.evaluate_case(truth, pred)
+    assert calls == {"connected_components_3d": 2, "dsc": 1, "hausdorff95": 1, "avd": 1}

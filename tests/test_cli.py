@@ -85,6 +85,20 @@ class TestPhantomAndSplit:
 
 
 class TestEndToEndPipeline:
+    def test_train_names_subjects_without_mask(self, runner, tmp_path):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "3",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        (data / "phantom_001" / "mask.nii.gz").unlink()
+        model = tmp_path / "model.wmhnet"
+        result = invoke(runner, ["train", "--data", str(data), "--epochs", "1",
+                                 "--base-width", "2", "--augment-factor", "1",
+                                 "--out", str(model)])
+        lines = result.output.splitlines()
+        assert lines[0] == "skipped 1 subject(s) without mask.nii.gz: phantom_001"
+        assert lines[1].startswith("final training loss")
+        assert model.exists()
+
     def test_train_predict_evaluate(self, runner, tmp_path):
         data = tmp_path / "data"
         invoke(runner, ["--seed", "7", "phantom", "--out", str(data), "--count", "4",
@@ -316,6 +330,31 @@ class TestErrorReporting:
         assert exit_info.value.code == 2
         lines = err.getvalue().decode().splitlines()
         assert lines == [f"ERROR ContractError: {message}"]
+
+    @pytest.mark.parametrize("command", [
+        ["split", "--kind", "ratio"],
+        ["sweep", "--sizes", "1", "--repeats", "2"],
+    ], ids=["split", "sweep"])
+    def test_ratio_split_without_training_case(self, runner, tmp_path, monkeypatch, command):
+        # three cases on scanners a, b and c: each keeps its one case for test
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "3",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("an empty training set must fail before any training")
+
+        monkeypatch.setattr(sweep, "train", no_training)
+        out = tmp_path / "out.csv"
+        with runner.isolation() as (_, err, _):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.run(command + ["--data", str(data), "--out", str(out)])
+            sys.stderr.flush()
+        assert exit_info.value.code == 2
+        assert err.getvalue().decode().splitlines() == [
+            "ERROR ContractError: ratio split leaves no training case: each of the 3 "
+            "scanners kept at least one case for test, which takes all 3 cases"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, option", [("seed=abc", "--seed")])
     def test_bad_config_integer(self, runner, tmp_path, line, option):

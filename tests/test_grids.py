@@ -28,6 +28,24 @@ def mask(data):
     return BinaryMask3D(data=np.asarray(data, bool), spacing=SPACING)
 
 
+def two_voxels(shape, a, b):
+    m = np.zeros(shape, bool)
+    m[a] = m[b] = True
+    return m
+
+
+# Neighbours in flat index order that are not neighbours on the grid: the
+# last voxel of a row and the first of the next (flat distance 1), and the
+# last row of a slice and the first row of the next (flat distance nx).  The
+# oracles give two components under 26-connectivity and two boundary voxels.
+# Both sit on the first and last index of the axes they span, so a bounding
+# box that loses an end drops one of them.
+ROW_WRAP = two_voxels((1, 2, 4), (0, 0, 3), (0, 1, 0))
+SLICE_WRAP = two_voxels((2, 3, 2), (0, 2, 1), (1, 0, 1))
+# Foreground whose bounding box starts past 0 on every axis.
+INSET = two_voxels((4, 5, 6), (1, 2, 3), (2, 3, 4))
+
+
 class TestTypes:
     def test_volume_rejects_nonpositive_spacing(self):
         with pytest.raises(ContractError):
@@ -83,6 +101,9 @@ class TestConnectedComponents3D:
            st.sampled_from([6, 18, 26]))
     @example(np.zeros((3, 1, 12), bool), 26)
     @example(np.ones((12, 5, 1), bool), 6)
+    @example(ROW_WRAP, 26)
+    @example(SLICE_WRAP, 26)
+    @example(INSET, 6)
     @settings(max_examples=80, deadline=None)
     def test_labels_equal_flood_fill_any_shape(self, m, connectivity):
         # ndimage.label's own numbering must already be the scan order
@@ -184,6 +205,17 @@ class TestBoundaryVoxels:
             m = rng.random((6, 7, 5)) < 0.4
             got = boundary_voxels(mask(m))
             np.testing.assert_array_equal(got, boundary_voxels_oracle(m))
+
+    @given(arrays(bool, array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=12)))
+    @example(ROW_WRAP)
+    @example(SLICE_WRAP)
+    @example(INSET)
+    # (1, 1, 2) and (1, 2, 1) lack their +x and +y neighbours, though the next
+    # voxel in flat order at those distances is foreground
+    @example(np.ones((3, 3, 3), bool))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_any_shape(self, m):
+        np.testing.assert_array_equal(boundary_voxels(mask(m)), boundary_voxels_oracle(m))
 
     def test_peeling_shrinks_boundary(self):
         rng = np.random.default_rng(8)

@@ -92,6 +92,12 @@ class TestRatio:
         scanners_tested = {c.scanner_id for c in cases if c.subject_id in plan.test_ids}
         assert scanners_tested == {"x", "y"}
 
+    def test_one_case_per_scanner_rejected(self):
+        cases = cases_for([("s1", "a"), ("s2", "b"), ("s3", "c")])
+        with pytest.raises(ContractError, match="^ratio split leaves no training case: "
+                           "each of the 3 scanners kept at least one case for test"):
+            split_ratio(cases, test_fraction=0.2, seed=0)
+
     def test_deterministic(self):
         cases = sixty_cases()
         a = split_ratio(cases, seed=7)

@@ -74,3 +74,14 @@ class TestEnsembleSweep:
         cases[missing] = type(c)(c.subject_id, c.scanner_id, c.flair, c.t1, None)
         with pytest.raises(ContractError, match=f"case {c.subject_id} has no"):
             ensemble_sweep(cases, [1], 2, build_unet(base_width=4), TrainConfig(epochs=1))
+
+    def test_split_without_training_case_named(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("an empty training set must fail before any training")
+
+        monkeypatch.setattr(sweep, "train", no_training)
+        spec = PhantomSpec(dims=(32, 32, 8), lesion_count_range=(2, 3),
+                           scanners=("a", "b", "c"), seed=11)
+        with pytest.raises(ContractError, match="^ratio split leaves no training case"):
+            ensemble_sweep(phantom_generate(spec, 3), [1], 2, build_unet(base_width=4),
+                           TrainConfig(epochs=1))
