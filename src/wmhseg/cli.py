@@ -11,6 +11,7 @@ nonzero.
 from __future__ import annotations
 
 import csv
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,20 +22,23 @@ from click.core import ParameterSource
 from . import datasets
 from .augment import augment_dataset
 from .ensemble import EnsembleConfig
-from .errors import WmhsegError
+from .errors import FormatError, WmhsegError
 from .grids import BinaryMask3D, Volume3D
-from .metrics import evaluate_case
+from .metrics import evaluate_case, parse_cell
 from .net.training import TrainConfig, train
 from .net.unet import build_unet
 from .net.weights_io import load_weights, save_weights
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .phantom import PhantomSpec, phantom_generate
 from .pipeline import case_training_arrays, predict_case
-from .preprocess import CaseRecord, preprocess_case, write_record
+from .preprocess import (DEFAULT_FLAIR_THRESHOLD, DEFAULT_T1_THRESHOLD, DEFAULT_TARGET,
+                         CaseRecord, preprocess_case, write_record)
 from .ranking import rank_teams, read_team_csv, write_rank_csv
 from .splits import split_cross_scanner, split_loso, split_ratio
 from .stats import benjamini_hochberg, wilcoxon_signed_rank
 from .sweep import ensemble_sweep
+
+TARGET_TEXT = ",".join(map(str, DEFAULT_TARGET))
 
 
 def _load_config_defaults(path) -> dict:
@@ -103,7 +107,8 @@ def phantom(ctx, out_dir, count, dims, lesions):
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
 @click.option("--kind", type=click.Choice(["subject", "scanner", "ratio"]), default="subject",
               show_default=True)
-@click.option("--test-fraction", type=float, default=0.2, show_default=True)
+@click.option("--test-fraction", type=float, show_default=True,
+              default=inspect.signature(split_ratio).parameters["test_fraction"].default)
 @click.option("--out", "out_csv", required=True, type=click.Path())
 @click.pass_context
 def split(ctx, data_dir, kind, test_fraction, out_csv):
@@ -131,9 +136,9 @@ def split(ctx, data_dir, kind, test_fraction, out_csv):
 @click.option("--t1", "t1_path", required=True, type=click.Path(exists=True))
 @click.option("--gt", "gt_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--flair-thresh", type=float, default=70.0, show_default=True)
-@click.option("--t1-thresh", type=float, default=30.0, show_default=True)
-@click.option("--target", default="200,200", show_default=True,
+@click.option("--flair-thresh", type=float, default=DEFAULT_FLAIR_THRESHOLD, show_default=True)
+@click.option("--t1-thresh", type=float, default=DEFAULT_T1_THRESHOLD, show_default=True)
+@click.option("--target", default=TARGET_TEXT, show_default=True,
               callback=_comma_list(click.INT, 2))
 def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target):
     """Preprocess one case: normalized slice stacks + sidecar record."""
@@ -158,9 +163,9 @@ def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target
 
 @main.command(name="train")
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
-@click.option("--epochs", type=int, default=50, show_default=True)
-@click.option("--batch", type=int, default=30, show_default=True)
-@click.option("--lr", type=float, default=2e-4, show_default=True)
+@click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True)
+@click.option("--batch", type=int, default=TrainConfig.batch_size, show_default=True)
+@click.option("--lr", type=float, default=TrainConfig.learning_rate, show_default=True)
 @click.option("--base-width", type=int, default=64, show_default=True)
 @click.option("--input-channels", type=click.IntRange(1, 2), default=2, show_default=True)
 @click.option("--augment-factor", type=click.IntRange(min=1), default=1, show_default=True)
@@ -193,9 +198,9 @@ def train_cmd(ctx, data_dir, epochs, batch, lr, base_width, input_channels,
               callback=_comma_list(click.Path(exists=True, dir_okay=False)))
 @click.option("--flair", required=True, type=click.Path(exists=True))
 @click.option("--t1", "t1_path", required=True, type=click.Path(exists=True))
-@click.option("--threshold", type=float, default=0.5, show_default=True)
-@click.option("--z-trim", type=float, default=0.10, show_default=True)
-@click.option("--target", default="200,200", show_default=True,
+@click.option("--threshold", type=float, default=EnsembleConfig.threshold, show_default=True)
+@click.option("--z-trim", type=float, default=EnsembleConfig.z_trim_fraction, show_default=True)
+@click.option("--target", default=TARGET_TEXT, show_default=True,
               callback=_comma_list(click.INT, 2))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def predict(models, flair, t1_path, threshold, z_trim, target, out_path):
@@ -224,9 +229,8 @@ def evaluate(gt_path, pred_path, team):
     pred = read_nifti_mask(pred_path)
     report = evaluate_case(truth, pred, spacing=truth.spacing)
     row = report.as_row()
-    click.echo("team,dsc,h95_mm,avd,recall,f1")
-    click.echo(",".join([team, row["dsc"], row["h95_mm"], row["avd"],
-                         row["recall"], row["f1"]]))
+    click.echo(",".join(["team", *row]))
+    click.echo(",".join([team, *row.values()]))
 
 
 @main.command()
@@ -235,8 +239,7 @@ def evaluate(gt_path, pred_path, team):
 def rank(table_csv, out_csv):
     """Rank teams from a metric table CSV (columns team,dsc,h95_mm,avd,recall,f1)."""
     ranked = rank_teams(read_team_csv(table_csv))
-    order = sorted(ranked.teams, key=lambda t: ranked.final[t])
-    for t in order:
+    for t in ranked.order():
         click.echo(f"{t},{ranked.final[t]:.6f}")
     if out_csv:
         write_rank_csv(ranked, out_csv)
@@ -249,8 +252,8 @@ def rank(table_csv, out_csv):
               callback=_comma_list(click.IntRange(min=1)))
 @click.option("--repeats", type=int, default=5, show_default=True)
 @click.option("--epochs", type=int, default=15, show_default=True)
-@click.option("--batch", type=int, default=30, show_default=True)
-@click.option("--lr", type=float, default=2e-4, show_default=True)
+@click.option("--batch", type=int, default=TrainConfig.batch_size, show_default=True)
+@click.option("--lr", type=float, default=TrainConfig.learning_rate, show_default=True)
 @click.option("--base-width", type=int, default=8, show_default=True)
 @click.option("--out", "out_csv", required=True, type=click.Path())
 @click.pass_context
@@ -273,19 +276,17 @@ def stats(input_csv, out_csv):
     """Wilcoxon signed-rank p-values per column, FDR-adjusted across columns."""
     with open(input_csv, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{input_csv} is empty")
         columns = {name: [] for name in header}
         for row in reader:
             for name, value in zip(header, row):
                 if value != "":
-                    columns[name].append(float(value))
+                    columns[name].append(parse_cell(value, input_csv, reader.line_num, name))
     p_values = [wilcoxon_signed_rank(np.array(columns[name])) for name in header]
-    adjusted = benjamini_hochberg([p for p in p_values if not np.isnan(p)])
-    adj_iter = iter(adjusted)
-    rows = []
-    for name, p in zip(header, p_values):
-        adj = float("nan") if np.isnan(p) else float(next(adj_iter))
-        rows.append((name, p, adj))
+    rows = list(zip(header, p_values, benjamini_hochberg(p_values).tolist()))
+    for name, p, adj in rows:
         click.echo(f"{name},{p:.6g},{adj:.6g}")
     if out_csv:
         with open(out_csv, "w", newline="") as f:
@@ -303,6 +304,9 @@ def run(args=None):
     except MemoryError as exc:
         # numpy raises a private MemoryError subclass; report the public name.
         print(f"ERROR MemoryError: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except OSError as exc:
+        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(2)
     except click.ClickException as exc:
         exc.show()

@@ -10,13 +10,20 @@ for the affected metrics rather than an arbitrary number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContractError
+from .errors import ContractError, FormatError
 from .grids import BinaryMask3D, boundary_voxels, connected_components_3d
+
+# The scoring table: metric names in table order, each one's CSV column, and
+# whether a higher value is better.
+METRIC_NAMES = ("dsc", "h95", "avd", "recall", "f1")
+COLUMN = {m: m for m in METRIC_NAMES} | {"h95": "h95_mm"}
+HIGHER_BETTER = {"dsc": True, "h95": False, "avd": False, "recall": True, "f1": True}
 
 
 @dataclass
@@ -33,17 +40,22 @@ class MetricReport:
     n_false_lesions: int = 0
     both_empty: bool = False
 
-    def as_row(self) -> dict:
-        def fmt(v):
-            return "" if v is None else f"{v:.6f}"
+    def as_row(self) -> dict[str, str]:
+        """CSV column -> value in table order; an undefined metric is empty."""
+        values = {COLUMN[m]: getattr(self, m) for m in METRIC_NAMES}
+        return {col: "" if v is None else f"{v:.6f}" for col, v in values.items()}
 
-        return {
-            "dsc": fmt(self.dsc),
-            "h95_mm": fmt(self.h95),
-            "avd": fmt(self.avd),
-            "recall": fmt(self.recall),
-            "f1": fmt(self.f1),
-        }
+
+def parse_cell(text: str, path, line: int, column: str) -> float:
+    """One cell of a scoring CSV as a finite float, or FormatError saying where."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{path}, line {line}, column {column!r}: "
+                          f"{text!r} is not a finite number")
+    return value
 
 
 def _check_aligned(truth: BinaryMask3D, pred: BinaryMask3D):

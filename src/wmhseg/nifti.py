@@ -184,16 +184,13 @@ def write_nifti(volume, path, datatype=None) -> None:
     payload = data.astype(np.dtype(np_dtype).newbyteorder(endian))
     blob = bytes(hdr) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload.tobytes()
 
-    try:
-        if path.suffix == ".gz":
-            # An empty filename and mtime=0 keep the file name (RFC 1952
-            # FNAME) and the clock (MTIME) out of the gzip header, so the
-            # bytes depend on the data alone.
-            with open(path, "wb") as raw, gzip.GzipFile(
-                    filename="", mode="wb", fileobj=raw, compresslevel=4, mtime=0) as f:
-                f.write(blob)
-        else:
-            with open(path, "wb") as f:
-                f.write(blob)
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+    if path.suffix == ".gz":
+        # An empty filename and mtime=0 keep the file name (RFC 1952 FNAME)
+        # and the clock (MTIME) out of the gzip header, so the bytes depend
+        # on the data alone.
+        with open(path, "wb") as raw, gzip.GzipFile(
+                filename="", mode="wb", fileobj=raw, compresslevel=4, mtime=0) as f:
+            f.write(blob)
+    else:
+        with open(path, "wb") as f:
+            f.write(blob)

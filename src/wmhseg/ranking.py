@@ -1,9 +1,9 @@
 """Challenge rank scoring: per-metric min-max normalization, best team -> 0.
 
 Each metric column is normalized to [0, 1] with the best-performing team at
-0 and the worst at 1 (DSC/recall/F1 higher is better; H95/AVD lower is
-better).  The final score is the mean over the five per-metric scores, so
-smaller final scores rank higher.  Ties share identical scores; a column
+0 and the worst at 1 (the direction of each metric is ``HIGHER_BETTER`` in
+``metrics``).  The final score is the mean over the five per-metric scores,
+so smaller final scores rank higher.  Ties share identical scores; a column
 where every team is equal contributes 0 to everyone.
 """
 
@@ -12,22 +12,23 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .errors import ContractError
-
-METRIC_NAMES = ("dsc", "h95", "avd", "recall", "f1")
-HIGHER_BETTER = {"dsc": True, "h95": False, "avd": False, "recall": True, "f1": True}
+from .errors import ContractError, FormatError
+from .metrics import COLUMN, HIGHER_BETTER, METRIC_NAMES, parse_cell
 
 
 @dataclass
 class RankTable:
     teams: list[str]
-    raw: dict[str, dict[str, float | None]]        # team -> metric -> value
     scores: dict[str, dict[str, float | None]]     # team -> metric -> rank score
     final: dict[str, float]                        # team -> averaged score
     excluded: dict[str, list[str]] = field(default_factory=dict)  # team -> missing metrics
 
+    def order(self) -> list[str]:
+        """Teams best first (lowest final score); ties keep table order."""
+        return sorted(self.teams, key=self.final.__getitem__)
+
     def winner(self) -> str:
-        return min(self.final, key=self.final.get)
+        return self.order()[0]
 
 
 def rank_teams(table: dict[str, dict[str, float | None]]) -> RankTable:
@@ -52,12 +53,11 @@ def rank_teams(table: dict[str, dict[str, float | None]]) -> RankTable:
                 excluded.setdefault(t, []).append(metric)
         if not present:
             continue
-        vals = list(present.values())
-        best = max(vals) if HIGHER_BETTER[metric] else min(vals)
-        worst = min(vals) if HIGHER_BETTER[metric] else max(vals)
-        span = worst - best
+        lo, hi = min(present.values()), max(present.values())
         for t, v in present.items():
-            scores[t][metric] = 0.0 if span == 0 else (v - best) / span
+            # Distance from the best value, so the best team scores +0.0.
+            gap = hi - v if HIGHER_BETTER[metric] else v - lo
+            scores[t][metric] = gap / (hi - lo) if hi > lo else 0.0
 
     final = {}
     for t in teams:
@@ -66,35 +66,32 @@ def rank_teams(table: dict[str, dict[str, float | None]]) -> RankTable:
             raise ContractError(f"team {t!r} has no usable metric values")
         final[t] = sum(available) / len(available)
 
-    return RankTable(teams=teams, raw=dict(table), scores=scores, final=final,
-                     excluded=excluded)
+    return RankTable(teams=teams, scores=scores, final=final, excluded=excluded)
 
 
 def read_team_csv(path) -> dict[str, dict[str, float | None]]:
-    """Read a team table CSV with columns: team, dsc, h95_mm, avd, recall, f1."""
-    column_map = {"dsc": "dsc", "h95_mm": "h95", "h95": "h95", "avd": "avd",
-                  "recall": "recall", "f1": "f1"}
+    """Read a team table CSV: a ``team`` column and the metric columns
+    ``MetricReport.as_row`` writes (H95 may also be headed ``h95``)."""
+    columns = {COLUMN[m]: m for m in METRIC_NAMES} | {"h95": "h95"}
     table = {}
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            team = row.pop("team", None)
-            if team is None:
-                raise ContractError("team CSV must have a 'team' column")
-            values = {}
-            for col, metric in column_map.items():
-                if col in row and row[col] not in (None, ""):
-                    values[metric] = float(row[col])
-            table[team] = values
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None:
+            raise FormatError(f"{path} is empty")
+        if "team" not in reader.fieldnames:
+            raise ContractError("team CSV must have a 'team' column")
+        for row in reader:
+            table[row["team"]] = {metric: parse_cell(row[col], path, reader.line_num, col)
+                                  for col, metric in columns.items() if row.get(col)}
     return table
 
 
 def write_rank_csv(ranked: RankTable, path) -> None:
     fields = ["team"] + [f"score_{m}" for m in METRIC_NAMES] + ["score"]
-    order = sorted(ranked.teams, key=lambda t: ranked.final[t])
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
-        for t in order:
+        for t in ranked.order():
             row = {"team": t, "score": f"{ranked.final[t]:.6f}"}
             for m in METRIC_NAMES:
                 s = ranked.scores[t][m]

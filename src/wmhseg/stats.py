@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import false_discovery_control, rankdata, wilcoxon
 
 from .errors import ContractError
 
@@ -39,9 +37,10 @@ def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
 def wilcoxon_signed_rank(differences) -> float:
     """Two-sided p-value for paired differences; zeros are dropped.
 
-    Exact distribution for up to 25 nonzero pairs, normal approximation with
-    tie correction beyond that.  All-zero input is undefined (returns NaN);
-    fewer than 6 nonzero pairs is a contract error.
+    Exact distribution for up to 25 nonzero pairs, enumerated here because
+    scipy's exact mode is not exact under ties; beyond that scipy's normal
+    approximation with tie correction.  All-zero input is undefined
+    (returns NaN); fewer than 6 nonzero pairs is a contract error.
     """
     d = np.asarray(differences, dtype=np.float64)
     d = d[d != 0]
@@ -50,36 +49,22 @@ def wilcoxon_signed_rank(differences) -> float:
         return float("nan")
     if n < MIN_NONZERO:
         raise ContractError(f"need at least {MIN_NONZERO} nonzero pairs, got {n}")
-
+    if n > EXACT_LIMIT:
+        return float(wilcoxon(d, method="approx").pvalue)
     ranks = rankdata(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-
-    if n <= EXACT_LIMIT:
-        return _exact_two_sided_p(ranks, w_plus)
-
-    mean = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    tie_term = float(((tie_counts**3 - tie_counts)).sum()) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var <= 0:
-        return float("nan")
-    z = (w_plus - mean) / math.sqrt(var)
-    return float(min(1.0, math.erfc(abs(z) / math.sqrt(2.0))))
+    return _exact_two_sided_p(ranks, float(ranks[d > 0].sum()))
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:
-    """Step-up FDR adjustment, returned in the original order."""
+    """Step-up FDR adjustment, returned in the original order.
+
+    A NaN p-value (an undefined test) stays NaN, and the others are adjusted
+    as if it were absent.
+    """
     p = np.asarray(p_values, dtype=np.float64)
-    if p.size == 0:
-        return p.copy()
     if np.any((p < 0) | (p > 1)):
         raise ContractError("p-values must lie in [0, 1]")
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    adjusted_sorted = p[order] * m / np.arange(1, m + 1)
-    # Running minimum from the largest p downwards makes it monotone.
-    adjusted_sorted = np.minimum.accumulate(adjusted_sorted[::-1])[::-1]
-    adjusted_sorted = np.minimum(adjusted_sorted, 1.0)
-    out = np.empty(m)
-    out[order] = adjusted_sorted
+    defined = ~np.isnan(p)
+    out = np.full(p.shape, np.nan)
+    out[defined] = false_discovery_control(p[defined])
     return out

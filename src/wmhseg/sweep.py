@@ -9,12 +9,10 @@ import numpy as np
 
 from .ensemble import EnsembleConfig
 from .errors import ConfigurationError, ContractError
-from .metrics import MetricReport, evaluate_case
+from .metrics import METRIC_NAMES, MetricReport, evaluate_case
 from .net.training import TrainConfig, train
 from .pipeline import case_training_arrays, predict_case
 from .splits import split_ratio
-
-METRICS = ("dsc", "h95", "avd", "recall", "f1")
 
 
 @dataclass
@@ -27,10 +25,11 @@ class SweepResult:
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["size"] + [f"{m}_{s}" for m in METRICS for s in ("mean", "std")])
+            writer.writerow(["size"] + [f"{m}_{s}" for m in METRIC_NAMES
+                                        for s in ("mean", "std")])
             for size in self.sizes:
                 row = [size]
-                for m in METRICS:
+                for m in METRIC_NAMES:
                     mean, std = self.summary[m][size]
                     row += [f"{mean:.6f}", f"{std:.6f}"]
                 writer.writerow(row)
@@ -38,7 +37,7 @@ class SweepResult:
 
 def _mean_metrics(reports: list[MetricReport]) -> dict[str, float]:
     out = {}
-    for m in METRICS:
+    for m in METRIC_NAMES:
         values = [getattr(r, m) for r in reports if getattr(r, m) is not None]
         out[m] = float(np.mean(values)) if values else float("nan")
     return out
@@ -50,19 +49,17 @@ def ensemble_sweep(
     repeats: int,
     spec,
     train_config: TrainConfig,
-    eval_fraction: float = 0.2,
-    threshold: float = 0.5,
-    z_trim: float = 0.10,
     seed: int = 0,
 ) -> SweepResult:
     """Train size*repeats models per ensemble size and summarize metrics.
 
-    Cases are split once (stratified by scanner) into training and held-out
-    evaluation sets; each (size, repeat) cell trains its own models with a
-    derived seed, evaluates the averaged ensemble on the held-out cases and
-    the per-size mean/std is taken across repeats.  Every case needs a
-    ground-truth mask; a case without one raises ContractError before any
-    training.
+    Cases are split once by ``split_ratio`` (stratified by scanner, with
+    its default held-out fraction) into training and evaluation sets; each
+    (size, repeat) cell trains its own models with a derived seed, evaluates
+    the averaged ensemble (``EnsembleConfig``'s threshold and z-trim) on the
+    held-out cases and the per-size mean/std is taken across repeats.  Every
+    case needs a ground-truth mask; a case without one raises ContractError
+    before any training.
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -77,15 +74,16 @@ def ensemble_sweep(
         if case.ground_truth is None:
             raise ContractError(f"case {case.subject_id} has no ground-truth mask")
 
-    plan = split_ratio(cases, test_fraction=eval_fraction, seed=seed)
+    plan = split_ratio(cases, seed=seed)
     by_id = {c.subject_id: c for c in cases}
     train_cases = [by_id[i] for i in plan.train_ids]
     eval_cases = [by_id[i] for i in plan.test_ids]
     x, g = case_training_arrays(train_cases)
 
-    per_metric: dict[str, dict[int, list[float]]] = {m: {s: [] for s in sizes} for m in METRICS}
+    # metric -> size -> per-repeat means
+    per_metric = {m: {s: [] for s in sizes} for m in METRIC_NAMES}
     for size in sizes:
-        config = EnsembleConfig(model_count=size, threshold=threshold, z_trim_fraction=z_trim)
+        config = EnsembleConfig(model_count=size)
         for repeat in range(repeats):
             models = []
             for member in range(size):
@@ -99,7 +97,7 @@ def ensemble_sweep(
                 reports.append(evaluate_case(case.ground_truth, pred,
                                              spacing=case.flair.spacing))
             means = _mean_metrics(reports)
-            for m in METRICS:
+            for m in METRIC_NAMES:
                 per_metric[m][size].append(means[m])
 
     summary = {
@@ -107,6 +105,6 @@ def ensemble_sweep(
             s: (float(np.mean(per_metric[m][s])), float(np.std(per_metric[m][s])))
             for s in sizes
         }
-        for m in METRICS
+        for m in METRIC_NAMES
     }
     return SweepResult(sizes=sizes, repeats=repeats, summary=summary)

@@ -27,6 +27,15 @@ def invoke(runner, args):
     return result
 
 
+def run_failing(runner, args):
+    """Run ``cli.run`` as the console script does; (exit code, stderr lines)."""
+    with runner.isolation() as (_, err, _):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run(args)
+        sys.stderr.flush()
+    return exit_info.value.code, err.getvalue().decode().splitlines()
+
+
 class TestPhantomAndSplit:
     def test_phantom_writes_dataset(self, runner, tmp_path):
         data = tmp_path / "data"
@@ -193,6 +202,30 @@ class TestRankCommand:
         assert lines[0].startswith("good,0.000000")
         assert lines[1].startswith("bad,1.000000")
         assert out.exists()
+        assert "-0.000000" not in out.read_text()
+
+    def test_ranks_evaluate_rows(self, runner, tmp_path):
+        # the columns `evaluate` prints are the ones `rank` reads
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "2",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        gt = str(data / "phantom_000" / "mask.nii.gz")
+        rows = []
+        for team, pred in (("other", "phantom_001"), ("exact", "phantom_000")):
+            result = invoke(runner, ["evaluate", "--gt", gt, "--team", team,
+                                     "--pred", str(data / pred / "mask.nii.gz")])
+            header, row = result.output.strip().splitlines()
+            rows.append(row)
+        assert header == "team,dsc,h95_mm,avd,recall,f1"
+        table = tmp_path / "teams.csv"
+        table.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "ranked.csv"
+        result = invoke(runner, ["rank", "--table", str(table), "--out", str(out)])
+        assert result.output.splitlines()[:2] == ["exact,0.000000", "other,1.000000"]
+        saved = list(csv.DictReader(open(out)))
+        assert saved[0] == {"team": "exact", "score_dsc": "0.000000", "score_h95": "0.000000",
+                            "score_avd": "0.000000", "score_recall": "0.000000",
+                            "score_f1": "0.000000", "score": "0.000000"}
 
 
 class TestStatsCommand:
@@ -213,6 +246,13 @@ class TestStatsCommand:
         assert float(rows["null"][0]) > 0.05
         saved = list(csv.DictReader(open(out)))
         assert [r["comparison"] for r in saved] == ["shifted", "null"]
+
+
+    def test_undefined_column_left_out_of_adjustment(self, runner, tmp_path):
+        table = tmp_path / "diffs.csv"
+        table.write_text("shifted,zeros\n" + "".join(f"{v},0\n" for v in range(1, 9)))
+        result = invoke(runner, ["stats", "--input", str(table)])
+        assert result.output.splitlines() == ["shifted,0.0078125,0.0078125", "zeros,nan,nan"]
 
 
 class TestConfigFile:
@@ -390,3 +430,49 @@ class TestErrorReporting:
         assert exit_info.value.code == 2
         lines = err.getvalue().decode().splitlines()
         assert lines == ["ERROR MemoryError: Unable to allocate 12.4 GiB for an array"]
+
+    def test_preprocess_out_under_a_file(self, runner, tmp_path):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "1",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        subject = data / "phantom_000"
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, lines = run_failing(runner, [
+            "preprocess", "--flair", str(subject / "flair.nii.gz"),
+            "--t1", str(subject / "t1.nii.gz"), "--target", "32,32",
+            "--out", str(blocker / "out")])
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR NotADirectoryError: ")
+        assert str(blocker) in lines[0]
+
+    def test_split_missing_scan(self, runner, tmp_path):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "3",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        missing = data / "phantom_001" / "t1.nii.gz"
+        missing.unlink()
+        code, lines = run_failing(runner, ["split", "--data", str(data),
+                                           "--out", str(tmp_path / "splits.csv")])
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR FileNotFoundError: ")
+        assert str(missing) in lines[0]
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("rank", "team,dsc,h95_mm\ngood,0.8,6.0\nbad,abc,9.0\n",
+         "line 3, column 'dsc': 'abc' is not a finite number"),
+        ("stats", "a,b\n1,2\nx,3\n", "line 3, column 'a': 'x' is not a finite number"),
+        ("stats", "", "is empty"),
+        ("rank", "", "is empty"),
+    ], ids=["rank-cell", "stats-cell", "stats-empty", "rank-empty"])
+    def test_malformed_scoring_csv(self, runner, tmp_path, command, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        option = "--table" if command == "rank" else "--input"
+        code, lines = run_failing(runner, [command, option, str(path)])
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith(f"ERROR FormatError: {path}")
+        assert lines[0].endswith(message)

@@ -57,6 +57,14 @@ def test_gzip_bytes_independent_of_file_name(tmp_path):
     assert raw[3] == 0  # FLG: no FNAME, no other optional field
 
 
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_write_failure_keeps_its_os_error(tmp_path, suffix):
+    path = tmp_path / "missing" / f"vol{suffix}"
+    with pytest.raises(FileNotFoundError) as info:
+        write_nifti(small_volume(), path)
+    assert info.value.filename == str(path)
+
+
 def test_spacing_from_pixdim(tmp_path):
     vol = small_volume(spacing=(0.96, 0.95, 3.00))
     path = tmp_path / "vol.nii"

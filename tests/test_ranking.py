@@ -1,12 +1,10 @@
+import math
+
 import pytest
 
-from wmhseg.errors import ContractError
-from wmhseg.ranking import (
-    METRIC_NAMES,
-    rank_teams,
-    read_team_csv,
-    write_rank_csv,
-)
+from wmhseg.errors import ContractError, FormatError
+from wmhseg.metrics import METRIC_NAMES
+from wmhseg.ranking import rank_teams, read_team_csv, write_rank_csv
 
 # Published scores of the top five entries of the 2017 challenge leaderboard.
 LEADERBOARD = {
@@ -84,6 +82,25 @@ class TestRankTeams:
         for t in LEADERBOARD:
             assert again.scores[t]["h95"] == pytest.approx(base.scores[t]["h95"])
 
+    def test_no_score_is_negative(self):
+        # a higher-is-better column must not give its best team -0.0
+        ranked = rank_teams(LEADERBOARD)
+        for team in ranked.teams:
+            for score in [*ranked.scores[team].values(), ranked.final[team]]:
+                assert math.copysign(1.0, score) == 1.0, (team, score)
+
+    def test_order_best_first(self):
+        ranked = rank_teams(LEADERBOARD)
+        order = ranked.order()
+        assert order[0] == ranked.winner() == "sysu_media"
+        assert sorted(order) == sorted(LEADERBOARD)
+        finals = [ranked.final[t] for t in order]
+        assert finals == sorted(finals)
+
+    def test_order_ties_keep_table_order(self):
+        ranked = rank_teams({"b": {"dsc": 0.8}, "a": {"dsc": 0.8}, "c": {"dsc": 0.5}})
+        assert ranked.order() == ["b", "a", "c"]
+
     def test_too_few_teams(self):
         with pytest.raises(ContractError):
             rank_teams({"only": {"dsc": 0.8}})
@@ -120,4 +137,30 @@ class TestCSV:
         path = tmp_path / "teams.csv"
         path.write_text("name,dsc\nalpha,0.8\n")
         with pytest.raises(ContractError):
+            read_team_csv(path)
+
+    def test_no_negative_zero_written(self, tmp_path):
+        table = {"a": {"dsc": 0.9, "h95": 3.0}, "b": {"dsc": 0.5, "h95": 9.0}}
+        out = tmp_path / "ranked.csv"
+        write_rank_csv(rank_teams(table), out)
+        lines = out.read_text().splitlines()
+        assert lines[1] == "a,0.000000,0.000000,,,,0.000000"
+        assert "-0.000000" not in out.read_text()
+
+    def test_h95_column_alias(self, tmp_path):
+        path = tmp_path / "teams.csv"
+        path.write_text("team,dsc,h95\nalpha,0.8,6.5\n")
+        assert read_team_csv(path) == {"alpha": {"dsc": 0.8, "h95": 6.5}}
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "1,5"])
+    def test_malformed_cell_names_place(self, tmp_path, cell):
+        path = tmp_path / "teams.csv"
+        path.write_text(f'team,dsc,h95_mm\nalpha,0.8,6.0\nbeta,0.7,"{cell}"\n')
+        with pytest.raises(FormatError, match=r"teams\.csv, line 3, column 'h95_mm': "):
+            read_team_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "teams.csv"
+        path.write_text("")
+        with pytest.raises(FormatError, match="is empty"):
             read_team_csv(path)

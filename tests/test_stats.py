@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,23 @@ class TestWilcoxon:
         approx = wilcoxon_signed_rank(np.concatenate([d, [1e-9]]))  # n=26
         assert approx == pytest.approx(exact, abs=0.05)
 
+    def test_large_n_closed_form(self):
+        # n = 30, all positive: W+ = 465, mean 30*31/4, variance 30*31*61/24
+        z = (465 - 232.5) / math.sqrt(2363.75)
+        assert math.erfc(z / math.sqrt(2)) == pytest.approx(1.7344e-06, rel=1e-4)
+        p = wilcoxon_signed_rank(np.arange(1, 31))
+        assert p == pytest.approx(math.erfc(z / math.sqrt(2)), rel=1e-12)
+
+    def test_large_n_ties_closed_form(self):
+        # |d| takes the values 1..5 six, nine, nine, three and three times:
+        # midranks 3.5, 11, 20, 26 and 29, and W+ = 3 * (3.5 + 2*11 + 3*20 + 29).
+        d = [1, -1, 2, 2, -2, 3, 3, 3, -4, 5] * 3
+        w_plus = 3 * (3.5 + 2 * 11 + 3 * 20 + 29)
+        tie_term = ((6**3 - 6) + 2 * (9**3 - 9) + 2 * (3**3 - 3)) / 48
+        z = (w_plus - 30 * 31 / 4) / math.sqrt(30 * 31 * 61 / 24 - tie_term)
+        assert wilcoxon_signed_rank(d) == pytest.approx(math.erfc(z / math.sqrt(2)),
+                                                        rel=1e-12)
+
     @given(st.lists(st.integers(-50, 50).filter(lambda v: v != 0),
                     min_size=6, max_size=10))
     @settings(max_examples=30, deadline=None)
@@ -102,6 +121,11 @@ class TestBenjaminiHochberg:
     def test_capped_at_one(self):
         out = benjamini_hochberg([0.9, 0.95, 1.0])
         assert out.max() <= 1.0
+
+    def test_undefined_p_stays_nan(self):
+        # the NaN entry is left out: the other two are adjusted as a family of 2
+        np.testing.assert_allclose(benjamini_hochberg([0.01, np.nan, 0.04]),
+                                   [0.02, np.nan, 0.04])
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ContractError):

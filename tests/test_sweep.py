@@ -7,7 +7,8 @@ from wmhseg.errors import ConfigurationError, ContractError
 from wmhseg.net.training import TrainConfig
 from wmhseg.net.unet import build_unet
 from wmhseg.phantom import PhantomSpec, phantom_generate
-from wmhseg.sweep import METRICS, ensemble_sweep
+from wmhseg.metrics import METRIC_NAMES
+from wmhseg.sweep import ensemble_sweep
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,8 @@ class TestEnsembleSweep:
     def test_summary_structure(self, tiny_sweep):
         assert tiny_sweep.sizes == (1, 2)
         assert tiny_sweep.repeats == 2
-        assert set(tiny_sweep.summary) == set(METRICS)
-        for metric in METRICS:
+        assert set(tiny_sweep.summary) == set(METRIC_NAMES)
+        for metric in METRIC_NAMES:
             assert set(tiny_sweep.summary[metric]) == {1, 2}
             for mean, std in tiny_sweep.summary[metric].values():
                 assert std >= 0.0
