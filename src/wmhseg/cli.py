@@ -24,7 +24,7 @@ from .augment import augment_dataset
 from .ensemble import EnsembleConfig
 from .errors import FormatError, WmhsegError
 from .grids import BinaryMask3D, Volume3D
-from .metrics import evaluate_case, parse_cell
+from .metrics import check_header, evaluate_case, parse_cell
 from .net.training import TrainConfig, train
 from .net.unet import build_unet
 from .net.weights_io import load_weights, save_weights
@@ -279,6 +279,7 @@ def stats(input_csv, out_csv):
         header = next(reader, None)
         if header is None:
             raise FormatError(f"{input_csv} is empty")
+        check_header(header, input_csv)
         columns = {name: [] for name in header}
         for row in reader:
             for name, value in zip(header, row):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractError
 from .grids import BinaryMask3D
-from .net.unet import DOWNSAMPLE_FACTOR, forward
+from .net.unet import forward
 from .preprocess import PreprocessRecord, invert_crop_or_pad
 
 
@@ -34,20 +34,17 @@ def ensemble_predict(models, spec, samples: np.ndarray) -> np.ndarray:
 
     ``models`` is a list of weight sets matching ``spec``; ``samples`` is
     (N, C, H, W).  Each model sees one slice at a time, so peak memory does
-    not grow with the slice count.  Spatial dims not divisible by the pooling
-    factor are zero-padded for the network and cropped back afterwards.
+    not grow with the slice count.
     Returns (N, H, W) float probabilities.
     """
     if not models:
         raise ContractError("ensemble needs at least one model")
     samples = np.asarray(samples)
     n, _, h, w = samples.shape
-    pad = ((0, 0), (0, 0), (0, -h % DOWNSAMPLE_FACTOR), (0, -w % DOWNSAMPLE_FACTOR))
     total = np.zeros((n, h, w))
     for z in range(n):
-        padded = np.pad(samples[z : z + 1], pad)
         for weights in models:
-            total[z] += forward(spec, weights, padded)[0, :h, :w]
+            total[z] += forward(spec, weights, samples[z : z + 1])[0]
     return total / len(models)
 
 

@@ -100,7 +100,6 @@ class ComponentLabeling:
 
     labels: np.ndarray
     count: int
-    connectivity: int
 
 
 def connected_components_3d(mask: BinaryMask3D, connectivity: int = 26) -> ComponentLabeling:
@@ -117,9 +116,9 @@ def connected_components_3d(mask: BinaryMask3D, connectivity: int = 26) -> Compo
     labels = np.zeros(mask.data.shape, dtype=np.int32)
     box = _bounding_box(mask.data)
     if box is None:
-        return ComponentLabeling(labels=labels, count=0, connectivity=connectivity)
+        return ComponentLabeling(labels=labels, count=0)
     count = ndimage.label(mask.data[box], structure=structure, output=labels[box])
-    return ComponentLabeling(labels=labels, count=int(count), connectivity=connectivity)
+    return ComponentLabeling(labels=labels, count=int(count))
 
 
 def largest_component_2d(mask_slice: np.ndarray) -> np.ndarray:

@@ -58,6 +58,13 @@ def parse_cell(text: str, path, line: int, column: str) -> float:
     return value
 
 
+def check_header(header, path) -> None:
+    """FormatError naming the first column a scoring CSV's header repeats."""
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise FormatError(f"{path}: column {repeated[0]!r} appears twice in the header")
+
+
 def _check_aligned(truth: BinaryMask3D, pred: BinaryMask3D):
     if truth.data.shape != pred.data.shape:
         raise ContractError(

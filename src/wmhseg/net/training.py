@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, DivergenceError
-from .loss import dice_loss, dice_loss_grad
+from .loss import dice_loss_grad
 from .optim import Adam
-from .unet import backprop, forward, forward_with_caches, init_weights
+from .unet import backprop, forward_with_caches, init_weights
 
 
 @dataclass
@@ -54,12 +54,11 @@ def _check_divergence(epoch_loss, baseline_loss, trace):
         )
 
 
-def train(spec, samples, truth, config: TrainConfig, validation=None):
+def train(spec, samples, truth, config: TrainConfig):
     """Train from random initialization; returns (weights, history).
 
     ``samples`` is (N, C, H, W), ``truth`` (N, H, W).  ``history`` holds
-    per-epoch "train_loss" and, when a (val_samples, val_truth) pair is
-    given, "val_loss".
+    the per-epoch "train_loss".
     """
     samples = np.asarray(samples, dtype=np.float32)
     truth = np.asarray(truth)
@@ -73,7 +72,7 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
     optimizer = Adam(config.learning_rate)
 
     n = samples.shape[0]
-    history = {"train_loss": [], "val_loss": []}
+    history = {"train_loss": []}
     baseline_loss = None
 
     for epoch in range(config.epochs):
@@ -89,9 +88,6 @@ def train(spec, samples, truth, config: TrainConfig, validation=None):
 
         epoch_loss = float(np.mean(epoch_losses))
         history["train_loss"].append(epoch_loss)
-        if validation is not None:
-            val_pred = forward(spec, weights, validation[0])
-            history["val_loss"].append(dice_loss(val_pred, np.asarray(validation[1])))
         _check_divergence(epoch_loss, baseline_loss, history["train_loss"])
         if config.stop_loss is not None and epoch_loss < config.stop_loss:
             break

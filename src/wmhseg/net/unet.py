@@ -23,7 +23,7 @@ from . import layers as L
 
 DEFAULT_WIDTHS = (64, 96, 128, 256, 512)
 N_STAGES = 4
-DOWNSAMPLE_FACTOR = 2 ** N_STAGES  # input dims must divide this
+DOWNSAMPLE_FACTOR = 2 ** N_STAGES  # the network pads each side to a multiple
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,17 @@ def _check_input(spec, weights, x):
         raise ContractError(
             f"batch has {x.shape[1]} channels, spec expects {spec.input_channels}"
         )
-    if x.shape[2] % DOWNSAMPLE_FACTOR or x.shape[3] % DOWNSAMPLE_FACTOR:
-        raise ContractError(
-            f"spatial dims {x.shape[2:]} must be divisible by {DOWNSAMPLE_FACTOR}"
-        )
     if len(weights) != len(spec.layers):
         raise ContractError("weight set does not match the spec layer count")
     for (w, _), c in zip(weights, spec.layers):
         if w.shape != (c.out_channels, c.in_channels, c.kernel, c.kernel):
             raise ContractError(f"weight shape {w.shape} does not match layer {c}")
+
+
+def _pad_aligned(x):
+    """x zero-padded at the high end of each side to a multiple of DOWNSAMPLE_FACTOR."""
+    extra = [(0, -n % DOWNSAMPLE_FACTOR) for n in x.shape[2:]]
+    return np.pad(x, [(0, 0), (0, 0), *extra]) if any(e for _, e in extra) else x
 
 
 def _forward_impl(spec, weights, x, xps=None):
@@ -124,7 +126,7 @@ def _forward_impl(spec, weights, x, xps=None):
             xps.append(xp)
         return L.relu_forward(h) if relu else h
 
-    h, li, skips = x, 0, []
+    h, li, skips = _pad_aligned(x), 0, []
     for _ in range(N_STAGES):
         h = conv_relu(conv_relu(h, li), li + 1)
         li += 2
@@ -139,7 +141,7 @@ def _forward_impl(spec, weights, x, xps=None):
         h = conv_relu(conv_relu(h, li), li + 1)
         li += 2
 
-    return L.sigmoid_forward(conv_relu(h, li, relu=False))[:, 0]
+    return L.sigmoid_forward(conv_relu(h, li, relu=False))[:, 0, : x.shape[2], : x.shape[3]]
 
 
 def forward(spec: NetworkSpec, weights, x: np.ndarray) -> np.ndarray:
@@ -161,7 +163,7 @@ def backprop(spec, weights, caches, dp):
     consumed it: the next conv's interior, the skip half of a decoder conv's
     input, or every other pixel of its upsampled half.  Returns a per-layer
     list of (dw, db) matching the weight layout.  The input gradient is not
-    computed: conv01 skips its dx.
+    computed: conv01 skips its dx.  The logit gradient is zero-padded like x.
     """
     xps, p = caches
     grads = [None] * len(weights)
@@ -181,7 +183,7 @@ def backprop(spec, weights, caches, dp):
         return dx
 
     li = len(weights) - 1
-    dy = conv_back(L.sigmoid_backward(dp[:, None], p[:, None]), li)
+    dy = conv_back(_pad_aligned(L.sigmoid_backward(dp[:, None], p[:, None])), li)
     y = conv_input(li)
     skips = []  # (skip map, its gradient), deepest stage last
     for _ in range(N_STAGES):

@@ -48,17 +48,23 @@ def case_training_arrays(cases, target=None, modalities=("flair", "t1")):
     """Stack preprocessed slices of many cases into (X, G) training arrays.
 
     Every case needs a ground-truth mask; an empty list or a case without
-    one raises ContractError.  ``target`` defaults to each case's own
-    in-plane dims (useful for phantoms that are already network-sized).
+    one raises ContractError.  ``target`` defaults to the cases' own in-plane
+    dims, which must then agree.
     """
     if not cases:
         raise ContractError("no training cases")
-    xs, gs = [], []
+    first = cases[0].flair
     for case in cases:
         if case.ground_truth is None:
             raise ContractError(f"case {case.subject_id} has no ground-truth mask")
-        tgt = target or case.flair.data.shape[1:]
-        samples, truth, _ = preprocess_case(case, target=tgt, modalities=modalities)
+        if target is None and case.flair.dims[:2] != first.dims[:2]:
+            sizes = ["x".join(map(str, v.dims[:2])) for v in (first, case.flair)]
+            raise ContractError(f"cases {cases[0].subject_id} ({sizes[0]}) and "
+                                f"{case.subject_id} ({sizes[1]}) differ in in-plane size")
+    xs, gs = [], []
+    for case in cases:
+        samples, truth, _ = preprocess_case(case, target=target or first.data.shape[1:],
+                                            modalities=modalities)
         xs.append(samples)
         gs.append(truth)
     return np.concatenate(xs), np.concatenate(gs)

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .errors import ContractError, FormatError
-from .metrics import COLUMN, HIGHER_BETTER, METRIC_NAMES, parse_cell
+from .metrics import COLUMN, HIGHER_BETTER, METRIC_NAMES, check_header, parse_cell
 
 
 @dataclass
@@ -80,7 +80,11 @@ def read_team_csv(path) -> dict[str, dict[str, float | None]]:
             raise FormatError(f"{path} is empty")
         if "team" not in reader.fieldnames:
             raise ContractError("team CSV must have a 'team' column")
+        check_header(reader.fieldnames, path)
         for row in reader:
+            if row["team"] in table:
+                raise FormatError(f"{path}, line {reader.line_num}: team {row['team']!r} "
+                                  "appears twice")
             table[row["team"]] = {metric: parse_cell(row[col], path, reader.line_num, col)
                                   for col, metric in columns.items() if row.get(col)}
     return table

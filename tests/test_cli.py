@@ -1,5 +1,6 @@
 import csv
 import gzip
+import shutil
 import struct
 import subprocess
 import sys
@@ -145,6 +146,25 @@ class TestEndToEndPipeline:
         fields = lines[1].split(",")
         assert fields[0] == "smoke"
         assert 0.0 <= float(fields[1]) <= 1.0  # a valid DSC
+
+    @pytest.mark.parametrize("dims", ["200,200,6", "252,232,6"])
+    def test_train_and_predict_at_unaligned_dims(self, runner, tmp_path, dims):
+        # neither size is a multiple of 16: the network pads and crops itself
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "2",
+                        "--dims", dims, "--lesions", "2,3"])
+        model = tmp_path / "model.wmhnet"
+        invoke(runner, ["train", "--data", str(data), "--epochs", "1",
+                        "--base-width", "2", "--out", str(model)])
+        nx, ny, _ = dims.split(",")
+        subject = data / "phantom_000"
+        pred_path = tmp_path / "pred.nii.gz"
+        invoke(runner, ["predict", "--models", str(model),
+                        "--flair", str(subject / "flair.nii.gz"),
+                        "--t1", str(subject / "t1.nii.gz"),
+                        "--target", f"{ny},{nx}", "--out", str(pred_path)])
+        pred = read_nifti_mask(pred_path)
+        assert pred.dims == read_nifti_mask(subject / "mask.nii.gz").dims
 
     def test_predict_keeps_orientation(self, runner, tmp_path):
         data = tmp_path / "data"
@@ -371,6 +391,21 @@ class TestErrorReporting:
         lines = err.getvalue().decode().splitlines()
         assert lines == [f"ERROR ContractError: {message}"]
 
+    def test_train_mixed_in_plane_sizes(self, runner, tmp_path):
+        data, wide = tmp_path / "data", tmp_path / "wide"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "2",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        invoke(runner, ["phantom", "--out", str(wide), "--count", "1",
+                        "--dims", "48,32,8", "--lesions", "2,3"])
+        shutil.copytree(wide / "phantom_000", data / "wide_000")
+        with open(data / "manifest.csv", "a") as f:
+            f.write("wide_000,scanner_a\n")
+        code, lines = run_failing(runner, ["train", "--data", str(data), "--epochs", "1",
+                                           "--out", str(tmp_path / "m.wmhnet")])
+        assert code == 2
+        assert lines == ["ERROR ContractError: cases phantom_000 (32x32) and wide_000 "
+                         "(48x32) differ in in-plane size"]
+
     @pytest.mark.parametrize("command", [
         ["split", "--kind", "ratio"],
         ["sweep", "--sizes", "1", "--repeats", "2"],
@@ -466,7 +501,12 @@ class TestErrorReporting:
         ("stats", "a,b\n1,2\nx,3\n", "line 3, column 'a': 'x' is not a finite number"),
         ("stats", "", "is empty"),
         ("rank", "", "is empty"),
-    ], ids=["rank-cell", "stats-cell", "stats-empty", "rank-empty"])
+        ("stats", "a,a\n1,2\n", "column 'a' appears twice in the header"),
+        ("rank", "team,dsc,dsc\nx,0.8,0.7\ny,0.6,0.5\n",
+         "column 'dsc' appears twice in the header"),
+        ("rank", "team,dsc\nx,0.8\ny,0.6\nx,0.7\n", "line 4: team 'x' appears twice"),
+    ], ids=["rank-cell", "stats-cell", "stats-empty", "rank-empty", "stats-repeated-column",
+            "rank-repeated-column", "rank-repeated-team"])
     def test_malformed_scoring_csv(self, runner, tmp_path, command, text, message):
         path = tmp_path / "in.csv"
         path.write_text(text)

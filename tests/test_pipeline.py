@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wmhseg import datasets, ensemble
+from wmhseg import datasets, ensemble, pipeline
 from wmhseg.ensemble import EnsembleConfig, ensemble_predict, postprocess, threshold_map
 from wmhseg.errors import ContractError, FormatError
 from wmhseg.net.unet import build_unet, forward, init_weights
@@ -42,6 +44,20 @@ class TestCaseTrainingArrays:
                                   cases[1].flair, cases[1].t1, None)
         with pytest.raises(ContractError, match=f"case {stripped.subject_id} has no"):
             case_training_arrays([cases[0], stripped, cases[2]])
+
+    def test_mixed_in_plane_sizes_rejected(self, cases, monkeypatch):
+        wide = phantom_generate(PhantomSpec(dims=(48, 32, 8), lesion_count_range=(2, 3),
+                                            lesion_radius_range=(1.5, 2.5), seed=3), 1)[0]
+        wide = dataclasses.replace(wide, subject_id="wide_000")
+
+        def no_preprocessing(*args, **kwargs):
+            raise AssertionError("mixed sizes must fail before any preprocessing")
+
+        monkeypatch.setattr(pipeline, "preprocess_case", no_preprocessing)
+        with pytest.raises(ContractError) as exc_info:
+            case_training_arrays([cases[0], cases[1], wide])
+        assert str(exc_info.value) == ("cases phantom_000 (32x32) and wide_000 (48x32) "
+                                       "differ in in-plane size")
 
 
 class TestPredictCase:
