@@ -81,13 +81,13 @@ def transform_for(seed: int, sample_index: int, copy_index: int) -> AffineParams
     return sample_affine(rng)
 
 
-def augment_dataset(samples: np.ndarray, labels: np.ndarray | None, factor: int, seed: int):
+def augment_dataset(samples: np.ndarray, labels: np.ndarray, factor: int, seed: int):
     """Expand a dataset ``factor``-fold with affine-transformed copies.
 
-    ``samples`` is (N, C, H, W); ``labels`` (N, H, W) bool or None.  Output
-    keeps every original sample and appends (factor - 1) transformed copies
-    each; a sample and its label share identical parameters (image channels
-    bilinear, labels nearest).
+    ``samples`` is (N, C, H, W); ``labels`` (N, H, W) bool.  Output keeps
+    every original sample and appends (factor - 1) transformed copies each; a
+    sample and its label share identical parameters (image channels bilinear,
+    labels nearest).
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
@@ -95,21 +95,16 @@ def augment_dataset(samples: np.ndarray, labels: np.ndarray | None, factor: int,
         return samples, labels
 
     out_samples = [samples]
-    out_labels = [labels] if labels is not None else None
+    out_labels = [labels]
     n = samples.shape[0]
     for j in range(1, factor):
         batch_s = np.empty_like(samples)
-        batch_l = np.empty_like(labels) if labels is not None else None
+        batch_l = np.empty_like(labels)
         for i in range(n):
             params = transform_for(seed, i, j)
             for c in range(samples.shape[1]):
                 batch_s[i, c] = apply_affine(samples[i, c], params, "bilinear")
-            if labels is not None:
-                batch_l[i] = apply_affine(labels[i], params, "nearest")
+            batch_l[i] = apply_affine(labels[i], params, "nearest")
         out_samples.append(batch_s)
-        if out_labels is not None:
-            out_labels.append(batch_l)
-
-    aug_samples = np.concatenate(out_samples)
-    aug_labels = np.concatenate(out_labels) if out_labels is not None else None
-    return aug_samples, aug_labels
+        out_labels.append(batch_l)
+    return np.concatenate(out_samples), np.concatenate(out_labels)

@@ -2,8 +2,8 @@
 
 Voxel-level: dice similarity coefficient, 95th-percentile Hausdorff distance
 (mm, over boundary voxels in physical coordinates) and average volume
-difference.  Lesion-level: recall and F1, where a lesion is a 3D connected
-component and a component counts as detected when it shares at least one
+difference.  Lesion-level: recall and F1, where a lesion is a 26-connected
+3D component and a component counts as detected when it shares at least one
 voxel with the other map.  Degenerate inputs (empty masks) yield ``None``
 for the affected metrics rather than an arbitrary number.
 """
@@ -35,10 +35,6 @@ class MetricReport:
     avd: float | None
     recall: float | None
     f1: float | None
-    n_truth_lesions: int = 0
-    n_detected_lesions: int = 0
-    n_false_lesions: int = 0
-    both_empty: bool = False
 
     def as_row(self) -> dict[str, str]:
         """CSV column -> value in table order; an undefined metric is empty."""
@@ -110,11 +106,11 @@ def avd(truth: BinaryMask3D, pred: BinaryMask3D) -> float | None:
     return abs(vg - pred.population) / vg
 
 
-def _lesion_scores(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int):
-    """(n_truth, n_detected, n_false, recall, f1); a ratio over no lesions is None."""
+def _lesion_scores(truth: BinaryMask3D, pred: BinaryMask3D):
+    """(recall, f1) over 26-connected lesions; a ratio over no lesions is None."""
     _check_aligned(truth, pred)
-    truth_cc = connected_components_3d(truth, connectivity)
-    pred_cc = connected_components_3d(pred, connectivity)
+    truth_cc = connected_components_3d(truth)
+    pred_cc = connected_components_3d(pred)
 
     # Ground-truth components touched by any predicted voxel.
     touched_truth = np.unique(truth_cc.labels.flat[np.flatnonzero(pred.data)])
@@ -122,38 +118,32 @@ def _lesion_scores(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int):
     # Predicted components touched by any truth voxel.
     touched_pred = np.unique(pred_cc.labels.flat[np.flatnonzero(truth.data)])
     n_pred_hit = int(np.count_nonzero(touched_pred))
-    n_false = pred_cc.count - n_pred_hit
     recall = n_detected / truth_cc.count if truth_cc.count else None
     f1 = n_pred_hit / pred_cc.count if pred_cc.count else None
-    return truth_cc.count, n_detected, n_false, recall, f1
+    return recall, f1
 
 
-def lesion_recall(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int = 26):
+def lesion_recall(truth: BinaryMask3D, pred: BinaryMask3D):
     """Fraction of ground-truth lesions overlapped by the prediction."""
-    return _lesion_scores(truth, pred, connectivity)[3]
+    return _lesion_scores(truth, pred)[0]
 
 
-def lesion_f1(truth: BinaryMask3D, pred: BinaryMask3D, connectivity: int = 26):
+def lesion_f1(truth: BinaryMask3D, pred: BinaryMask3D):
     """Fraction of predicted lesions that overlap the ground truth.
 
     (The challenge's "F1" is algebraically the lesion precision
     N_P / (N_P + N_F); it is implemented exactly as published.)
     """
-    return _lesion_scores(truth, pred, connectivity)[4]
+    return _lesion_scores(truth, pred)[1]
 
 
-def evaluate_case(truth: BinaryMask3D, pred: BinaryMask3D, spacing=None,
-                  connectivity: int = 26) -> MetricReport:
-    """All five metrics plus lesion counts for one case."""
-    n_truth, n_detected, n_false, recall, f1 = _lesion_scores(truth, pred, connectivity)
+def evaluate_case(truth: BinaryMask3D, pred: BinaryMask3D, spacing=None) -> MetricReport:
+    """All five metrics for one case."""
+    recall, f1 = _lesion_scores(truth, pred)
     return MetricReport(
         dsc=dsc(truth, pred),
         h95=hausdorff95(truth, pred, spacing),
         avd=avd(truth, pred),
         recall=recall,
         f1=f1,
-        n_truth_lesions=n_truth,
-        n_detected_lesions=n_detected,
-        n_false_lesions=n_false,
-        both_empty=(truth.population == 0 and pred.population == 0),
     )

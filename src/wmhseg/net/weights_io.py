@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FormatError
-from .unet import NetworkSpec, build_unet
+from .unet import DEFAULT_WIDTHS, NetworkSpec, build_unet
 
 MAGIC = b"WMHNET\x00\x00"
 VERSION = 1
@@ -87,6 +87,9 @@ def load_weights(path):
         raise FormatError(f"unsupported weight file version {version}")
     digest = r.take(8)
     input_channels, n_widths = r.unpack("<II")
+    if n_widths != len(DEFAULT_WIDTHS):
+        raise FormatError(f"weight file stores {n_widths} widths, the network has "
+                          f"{len(DEFAULT_WIDTHS)}")
     widths = r.unpack(f"<{n_widths}I")
 
     # Reconstruct the spec from the stored widths (base_width = widths[0]).
@@ -100,16 +103,19 @@ def load_weights(path):
             f"weight file has {n_layers} layers, spec expects {len(spec.layers)}"
         )
     weights = []
-    for _ in range(n_layers):
+    for i, c in enumerate(spec.layers, 1):
         arrays = []
-        for _ in range(2):
+        for name, want in (("kernel", (c.out_channels, c.in_channels, c.kernel, c.kernel)),
+                           ("bias", (c.out_channels,))):
             code, ndim = r.unpack("<BB")
             if code not in _CODE_DTYPES:
                 raise FormatError(f"unknown dtype code {code}")
             shape = r.unpack(f"<{ndim}I")
+            if shape != want:
+                raise FormatError(f"weight file layer {i} {name} has shape {shape}, "
+                                  f"the spec expects {want}")
             dtype = np.dtype(_CODE_DTYPES[code])
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = r.take(count * dtype.itemsize)
+            raw = r.take(int(np.prod(shape)) * dtype.itemsize)
             # The one copy: writeable arrays that own their memory.
             arrays.append(np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
                           .reshape(shape).astype(dtype))

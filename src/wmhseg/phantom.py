@@ -18,39 +18,41 @@ from .grids import BinaryMask3D, Volume3D
 from .preprocess import CaseRecord
 
 DEFAULT_SCANNERS = ("scanner_a", "scanner_b", "scanner_c")
+BRAIN_AXES_FRACTION = (0.42, 0.42, 0.46)  # ellipsoid semi-axes / (nx, ny, nz)
+BACKGROUND_INTENSITY = 0.0
+BRAIN_INTENSITY = 120.0
+FLAIR_LESION_INTENSITY = 300.0
+T1_LESION_INTENSITY = 90.0
 
 
 @dataclass
 class PhantomSpec:
     dims: tuple[int, int, int] = (64, 64, 16)        # (nx, ny, nz)
     spacing: tuple[float, float, float] = (1.0, 1.0, 3.0)
-    brain_axes_fraction: tuple[float, float, float] = (0.42, 0.42, 0.46)
     lesion_count_range: tuple[int, int] = (3, 6)
     lesion_radius_range: tuple[float, float] = (1.5, 3.0)  # in-plane voxels
     lesion_z_radius: float = 1.0
-    background_intensity: float = 0.0
-    brain_intensity: float = 120.0
-    lesion_intensity: float = 300.0
-    t1_lesion_intensity: float = 90.0
     noise_std: float = 10.0
     seed: int = 0
     scanners: tuple[str, ...] = DEFAULT_SCANNERS
 
     def __post_init__(self):
-        if not (self.background_intensity < self.brain_intensity < self.lesion_intensity):
-            raise ConfigurationError("intensities must be ordered background < brain < lesion")
+        low, high = self.lesion_count_range
+        if not 0 <= low <= high:
+            raise ConfigurationError(
+                f"lesion count range must satisfy 0 <= low <= high, got {low},{high}")
         nx, ny, _ = self.dims
         max_radius = self.lesion_radius_range[1]
-        if max_radius >= min(nx, ny) * min(self.brain_axes_fraction[:2]):
+        if max_radius >= min(nx, ny) * min(BRAIN_AXES_FRACTION[:2]):
             raise ConfigurationError("lesion radius does not fit inside the brain ellipse")
 
 
 def _brain_ellipsoid(spec: PhantomSpec) -> np.ndarray:
     nx, ny, nz = spec.dims
     cz, cy, cx = (nz - 1) / 2, (ny - 1) / 2, (nx - 1) / 2
-    az = spec.brain_axes_fraction[2] * nz
-    ay = spec.brain_axes_fraction[1] * ny
-    ax = spec.brain_axes_fraction[0] * nx
+    az = BRAIN_AXES_FRACTION[2] * nz
+    ay = BRAIN_AXES_FRACTION[1] * ny
+    ax = BRAIN_AXES_FRACTION[0] * nx
     z, y, x = np.ogrid[0:nz, 0:ny, 0:nx]
     return ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
 
@@ -59,9 +61,9 @@ def _place_lesions(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     """Non-overlapping, non-adjacent lesion blobs well inside the brain."""
     nx, ny, nz = spec.dims
     cz, cy, cx = (nz - 1) / 2, (ny - 1) / 2, (nx - 1) / 2
-    ax = spec.brain_axes_fraction[0] * nx
-    ay = spec.brain_axes_fraction[1] * ny
-    az = spec.brain_axes_fraction[2] * nz
+    ax = BRAIN_AXES_FRACTION[0] * nx
+    ay = BRAIN_AXES_FRACTION[1] * ny
+    az = BRAIN_AXES_FRACTION[2] * nz
     # Keep centers away from the z-trim margins so post-processing never
     # wipes real lesions.
     z_lo = int(np.ceil(0.15 * nz))
@@ -115,12 +117,12 @@ def phantom_generate(spec: PhantomSpec, n: int) -> list[CaseRecord]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, i)))
         lesions = _place_lesions(spec, rng)
 
-        flair = np.full(brain.shape, spec.background_intensity, dtype=np.float32)
-        flair[brain] = spec.brain_intensity
-        flair[lesions] = spec.lesion_intensity
-        t1 = np.full(brain.shape, spec.background_intensity, dtype=np.float32)
-        t1[brain] = spec.brain_intensity
-        t1[lesions] = spec.t1_lesion_intensity
+        flair = np.full(brain.shape, BACKGROUND_INTENSITY, dtype=np.float32)
+        flair[brain] = BRAIN_INTENSITY
+        flair[lesions] = FLAIR_LESION_INTENSITY
+        t1 = np.full(brain.shape, BACKGROUND_INTENSITY, dtype=np.float32)
+        t1[brain] = BRAIN_INTENSITY
+        t1[lesions] = T1_LESION_INTENSITY
         if spec.noise_std > 0:
             flair += rng.normal(0.0, spec.noise_std, brain.shape).astype(np.float32)
             t1 += rng.normal(0.0, spec.noise_std, brain.shape).astype(np.float32)

@@ -35,6 +35,9 @@ def predict_case(
     the ensemble and get probability 0, so no threshold in (0, 1) keeps them.
     """
     config = config or EnsembleConfig(model_count=len(models))
+    if config.model_count != len(models):
+        raise ContractError(f"config is for {config.model_count} models, "
+                            f"the ensemble has {len(models)}")
     samples, _, record = preprocess_case(case, target=target, modalities=modalities)
     nz = samples.shape[0]
     n_trim = int(config.z_trim_fraction * nz)

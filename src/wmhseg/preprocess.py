@@ -129,12 +129,12 @@ def brain_mask(volume: Volume3D, threshold: float) -> BinaryMask3D:
     return BinaryMask3D(data=out, spacing=volume.spacing)
 
 
-def gaussian_normalize(volume: Volume3D, mask: BinaryMask3D, std_floor: float = 1e-9):
+def gaussian_normalize(volume: Volume3D, mask: BinaryMask3D):
     """Z-score a scan with mean/std taken over the masked voxels.
 
     The transform is applied to every voxel, inside and outside the mask.
     Returns (normalized_volume, mean, std, degenerate).  A degenerate case
-    (empty mask or ~constant intensities) yields an all-zero volume.
+    (empty mask, or a std below 1e-9) yields an all-zero volume.
     """
     if mask.data.shape != volume.data.shape:
         raise ContractError("mask is not aligned with the volume")
@@ -143,7 +143,7 @@ def gaussian_normalize(volume: Volume3D, mask: BinaryMask3D, std_floor: float = 
         return Volume3D(np.zeros(volume.data.shape, np.float32), volume.spacing), 0.0, 0.0, True
     mean = float(values.mean(dtype=np.float64))
     std = float(values.std(dtype=np.float64))  # population std
-    if std < std_floor:
+    if std < 1e-9:
         return Volume3D(np.zeros(volume.data.shape, np.float32), volume.spacing), mean, std, True
     normalized = ((volume.data.astype(np.float64) - mean) / std).astype(np.float32)
     return Volume3D(normalized, volume.spacing), mean, std, False
@@ -210,31 +210,3 @@ def write_record(record: PreprocessRecord, path) -> None:
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
-
-def read_record(path) -> PreprocessRecord:
-    """Parse a record file written by write_record (masks are not restored)."""
-    kv = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                kv[key] = value
-    nx, ny, nz = (int(v) for v in kv["original_dims"].split(","))
-    rows = tuple(int(v) for v in kv["offsets_rows"].split(","))
-    cols = tuple(int(v) for v in kv["offsets_cols"].split(","))
-    thresholds = {}
-    normalization = {}
-    for key, value in kv.items():
-        if key.startswith("threshold_"):
-            thresholds[key[len("threshold_"):]] = float(value)
-        elif key.startswith("mean_"):
-            modality = key[len("mean_"):]
-            normalization[modality] = (float(value), float(kv[f"std_{modality}"]))
-    return PreprocessRecord(
-        original_dims=(nx, ny, nz),
-        offsets=(rows, cols),
-        thresholds=thresholds,
-        normalization=normalization,
-        degenerate=bool(int(kv.get("degenerate", "0"))),
-    )

@@ -12,7 +12,6 @@ from .errors import ContractError
 @dataclass
 class SplitPlan:
     fold_id: str
-    kind: str                 # "subject", "scanner" or "ratio"
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
@@ -31,7 +30,6 @@ def split_loso(cases) -> list[SplitPlan]:
     return [
         SplitPlan(
             fold_id=f"loso_{held_out}",
-            kind="subject",
             train_ids=tuple(i for i in ids if i != held_out),
             test_ids=(held_out,),
         )
@@ -51,8 +49,8 @@ def split_cross_scanner(cases) -> list[SplitPlan]:
     for scanner in scanners:
         test = tuple(c.subject_id for c in cases if c.scanner_id == scanner)
         train = tuple(c.subject_id for c in cases if c.scanner_id != scanner)
-        plans.append(SplitPlan(fold_id=f"scanner_{scanner}", kind="scanner",
-                               train_ids=train, test_ids=test))
+        plans.append(SplitPlan(fold_id=f"scanner_{scanner}", train_ids=train,
+                               test_ids=test))
     return plans
 
 
@@ -80,4 +78,4 @@ def split_ratio(cases, test_fraction: float = 0.2, seed: int = 0) -> SplitPlan:
         raise ContractError(
             f"ratio split leaves no training case: each of the {len(groups)} scanners "
             f"kept at least one case for test, which takes all {len(test)} cases")
-    return SplitPlan(fold_id="ratio", kind="ratio", train_ids=train, test_ids=tuple(test))
+    return SplitPlan(fold_id="ratio", train_ids=train, test_ids=tuple(test))

@@ -179,11 +179,6 @@ class TestAugmentDataset:
         np.testing.assert_allclose(
             out_s[1, 0], apply_affine(samples[0, 0], params, "bilinear"), atol=1e-6)
 
-    def test_labels_none(self):
-        samples, _ = self._data()
-        out_s, out_l = augment_dataset(samples, None, factor=2, seed=0)
-        assert out_l is None and out_s.shape[0] == 6
-
     def test_invalid_factor(self):
         samples, labels = self._data()
         with pytest.raises(ValueError):

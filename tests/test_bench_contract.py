@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wmhseg import metrics, pipeline
+from wmhseg import augment, metrics, phantom, pipeline
 from wmhseg.ensemble import EnsembleConfig
 from wmhseg.net import training
 
@@ -24,6 +24,11 @@ CALLS = [
     (training.TrainConfig, (), ("batch_size", "learning_rate", "epochs", "seed")),
     (training.backward, ("spec", "weights", "x", "g"), ()),
     (training.train, ("spec", "x", "g", "config"), ()),
+    (phantom.PhantomSpec, (), ("dims", "spacing", "lesion_count_range", "lesion_radius_range",
+                               "lesion_z_radius", "noise_std", "seed")),
+    (phantom.phantom_generate, ("spec", "n"), ()),
+    (augment.augment_dataset, ("x", "g", "factor", "seed"), ()),
+    (metrics.evaluate_case, ("gt", "pred"), ("spacing",)),
 ]
 
 # (module, attribute) pairs the layer trace replaces with timing wrappers.

@@ -324,6 +324,16 @@ class TestErrorReporting:
         assert proc.stderr.splitlines() == [
             f"ERROR ContractError: epochs must be >= 1, got {epochs}"]
 
+    @pytest.mark.parametrize("lesions", ["5,3", "-2,-1"])
+    def test_phantom_rejects_bad_lesion_range(self, runner, tmp_path, lesions):
+        out = tmp_path / "data"
+        code, lines = run_failing(runner, ["phantom", "--out", str(out),
+                                           "--lesions", lesions])
+        assert code == 2
+        assert lines == ["ERROR ConfigurationError: lesion count range must satisfy "
+                         f"0 <= low <= high, got {lesions}"]
+        assert not out.exists()
+
     def test_usage_error_nonzero_exit(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "wmhseg.cli", "rank"],

@@ -31,18 +31,9 @@ class TestDiceLoss:
         # num = 0 + 1; den = 1 + 1 + 1
         assert dice_loss(p, g) == pytest.approx(-1.0 / 3.0)
 
-    def test_smooth_param_used(self):
-        p = np.array([[[1.0, 0.0]]])
-        g = np.array([[[0.0, 1.0]]])
-        assert dice_loss(p, g, smooth=2.0) == pytest.approx(-2.0 / 4.0)
-
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             dice_loss(np.zeros((1, 2, 2)), np.zeros((1, 3, 3)))
-
-    def test_invalid_smooth(self):
-        with pytest.raises(ContractError):
-            dice_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), smooth=0.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)

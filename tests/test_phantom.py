@@ -3,14 +3,22 @@ import pytest
 
 from wmhseg.errors import ConfigurationError
 from wmhseg.grids import connected_components_3d
-from wmhseg.phantom import DEFAULT_SCANNERS, PhantomSpec, phantom_generate
+from wmhseg.phantom import (
+    DEFAULT_SCANNERS,
+    FLAIR_LESION_INTENSITY,
+    T1_LESION_INTENSITY,
+    PhantomSpec,
+    phantom_generate,
+)
 from wmhseg.preprocess import brain_mask
 
 
 class TestSpecValidation:
-    def test_intensity_ordering(self):
-        with pytest.raises(ConfigurationError):
-            PhantomSpec(brain_intensity=500.0)
+    @pytest.mark.parametrize("lesions", [(5, 3), (-2, -1), (-1, 2)],
+                             ids=["descending", "negative", "negative-low"])
+    def test_lesion_count_range_ordered_and_non_negative(self, lesions):
+        with pytest.raises(ConfigurationError, match="lesion count range"):
+            PhantomSpec(lesion_count_range=lesions)
 
     def test_lesion_must_fit(self):
         with pytest.raises(ConfigurationError):
@@ -84,8 +92,8 @@ class TestGeneration:
         spec = PhantomSpec(seed=7, noise_std=0.0)
         case = phantom_generate(spec, 1)[0]
         gt = case.ground_truth.data
-        assert (case.flair.data[gt] == spec.lesion_intensity).all()
-        assert (case.t1.data[gt] == spec.t1_lesion_intensity).all()
+        assert (case.flair.data[gt] == FLAIR_LESION_INTENSITY).all()
+        assert (case.t1.data[gt] == T1_LESION_INTENSITY).all()
 
     def test_zero_lesion_spec(self):
         spec = PhantomSpec(lesion_count_range=(0, 0))

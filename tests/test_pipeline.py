@@ -81,6 +81,13 @@ class TestPredictCase:
         assert not mask.data[-2:].any()
         assert mask.data[4].any()
 
+    def test_config_for_another_ensemble_size_rejected(self, cases):
+        spec = build_unet(base_width=2)
+        weights = init_weights(spec, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="config is for 3 models, the ensemble has 1"):
+            predict_case(cases[0], spec, [weights], EnsembleConfig(model_count=3),
+                         target=(32, 32))
+
     @pytest.mark.parametrize("nz, z_trim, n_trim", [
         (8, 0.10, 0), (10, 0.10, 1), (16, 0.10, 1),
         (48, 0.10, 4),  # floor(0.1 * 48) = 4 slices at each end

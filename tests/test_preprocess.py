@@ -12,7 +12,6 @@ from wmhseg.preprocess import (
     gaussian_normalize,
     invert_crop_or_pad,
     preprocess_case,
-    read_record,
     write_record,
 )
 
@@ -229,11 +228,12 @@ def test_record_round_trip(tmp_path):
     _, _, record = preprocess_case(case, target=(48, 48))
     path = tmp_path / "record.txt"
     write_record(record, path)
-    back = read_record(path)
-    assert back.original_dims == record.original_dims
-    assert back.offsets == record.offsets
-    assert back.thresholds == record.thresholds
-    assert back.degenerate == record.degenerate
+    kv = dict(line.split("=", 1) for line in path.read_text().splitlines())
+    assert tuple(map(int, kv["original_dims"].split(","))) == record.original_dims
+    assert (tuple(map(int, kv["offsets_rows"].split(","))),
+            tuple(map(int, kv["offsets_cols"].split(",")))) == record.offsets
+    assert {m: float(kv[f"threshold_{m}"]) for m in record.thresholds} == record.thresholds
+    assert bool(int(kv["degenerate"])) == record.degenerate
     for modality in record.normalization:
-        np.testing.assert_allclose(back.normalization[modality],
+        np.testing.assert_allclose((float(kv[f"mean_{modality}"]), float(kv[f"std_{modality}"])),
                                    record.normalization[modality])

@@ -18,7 +18,7 @@ def sixty_cases():
 class TestSplitPlan:
     def test_overlap_rejected(self):
         with pytest.raises(ContractError):
-            SplitPlan("f", "subject", ("a", "b"), ("b",))
+            SplitPlan("f", ("a", "b"), ("b",))
 
 
 class TestLOSO:
@@ -51,7 +51,7 @@ class TestCrossScanner:
         plans = split_cross_scanner(sixty_cases())
         assert len(plans) == 3
         for plan in plans:
-            assert plan.kind == "scanner"
+            assert plan.fold_id.startswith("scanner_")
             assert len(plan.test_ids) == 20
             assert len(plan.train_ids) == 40
 

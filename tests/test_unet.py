@@ -1,7 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wmhseg.errors import ConfigurationError, ContractError, FormatError
+from wmhseg.errors import ConfigurationError, ContractError, FormatError, WmhsegError
 from wmhseg.net.unet import (
     DEFAULT_WIDTHS,
     DOWNSAMPLE_FACTOR,
@@ -13,7 +18,7 @@ from wmhseg.net.unet import (
     param_count,
 )
 from wmhseg.net.loss import dice_loss_grad
-from wmhseg.net.weights_io import load_weights, save_weights
+from wmhseg.net.weights_io import MAGIC, VERSION, load_weights, save_weights
 
 
 class TestSpec:
@@ -68,6 +73,21 @@ class TestParamCount:
         weights = init_weights(spec, np.random.default_rng(0))
         total = sum(w.size + b.size for w, b in weights)
         assert total == param_count(spec)
+
+
+def reseal(body):
+    """A weight file body followed by its valid checksum."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+# (offset, struct format) of each header integer in a tiny_net() weight file:
+# version, input channels, width count, the five widths and the layer count,
+# then conv01's kernel dtype code, ndim and shape, and after its 4x2x5x5
+# float64 values, its bias dtype code, ndim and length.
+_BIAS0 = 70 + 4 * 2 * 5 * 5 * 8
+HEADER_FIELDS = [(8, "<I"), (20, "<I"), (24, "<I"), *[(28 + 4 * i, "<I") for i in range(5)],
+                 (48, "<I"), (52, "<B"), (53, "<B"), *[(54 + 4 * i, "<I") for i in range(4)],
+                 (_BIAS0, "<B"), (_BIAS0 + 1, "<B"), (_BIAS0 + 2, "<I")]
 
 
 def tiny_net(input_channels=2, base_width=4, seed=0):
@@ -310,3 +330,44 @@ class TestWeightsIO:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(FormatError):
             load_weights(path)
+
+    def test_zero_widths_rejected(self, tmp_path):
+        path = tmp_path / "model.wmhnet"
+        path.write_bytes(reseal(MAGIC + struct.pack("<I", VERSION) + bytes(8)
+                                + struct.pack("<II", 2, 0)))
+        with pytest.raises(FormatError, match="stores 0 widths, the network has 5"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("layer, part, shape", [
+        (3, 0, (6, 6, 1, 1)),
+        (3, 1, (6, 1)),
+        (18, 1, (2,)),
+    ], ids=["kernel", "bias-ndim", "bias-length"])
+    def test_array_shapes_checked_against_spec(self, tmp_path, layer, part, shape):
+        spec, weights = tiny_net(base_width=4)
+        pair = list(weights[layer])
+        pair[part] = np.zeros(shape)
+        weights[layer] = tuple(pair)
+        path = tmp_path / "model.wmhnet"
+        save_weights(path, spec, weights)  # a valid checksum over a wrong shape
+        name = ("kernel", "bias")[part]
+        with pytest.raises(FormatError, match=rf"layer {layer + 1} {name} has shape "
+                                              rf"\({', '.join(map(str, shape))},?\)"):
+            load_weights(path)
+
+    @given(field=st.sampled_from(HEADER_FIELDS), value=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_header_integer_fuzz(self, tmp_path_factory, field, value):
+        # One header integer set to an arbitrary value and the checksum
+        # recomputed: the load succeeds or raises a WmhsegError.
+        spec, weights = tiny_net()
+        path = tmp_path_factory.mktemp("fuzz") / "model.wmhnet"
+        save_weights(path, spec, weights)
+        body = bytearray(path.read_bytes()[:-4])
+        offset, fmt = field
+        struct.pack_into(fmt, body, offset, value % 2 ** (8 * struct.calcsize(fmt)))
+        path.write_bytes(reseal(body))
+        try:
+            load_weights(path)
+        except WmhsegError:
+            pass
