@@ -299,15 +299,10 @@ def stats(input_csv, out_csv):
 def run(args=None):
     try:
         main(args=args, standalone_mode=False)
-    except WmhsegError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except MemoryError as exc:
+    except (WmhsegError, MemoryError, OSError) as exc:
         # numpy raises a private MemoryError subclass; report the public name.
-        print(f"ERROR MemoryError: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except OSError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"ERROR {name}: {exc}", file=sys.stderr)
         sys.exit(2)
     except click.ClickException as exc:
         exc.show()

@@ -14,13 +14,15 @@ from .errors import FormatError
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .preprocess import CaseRecord
 
+MANIFEST_COLUMNS = ("subject_id", "scanner_id")
+
 
 def save_dataset(cases, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "manifest.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["subject_id", "scanner_id"])
+        writer.writerow(MANIFEST_COLUMNS)
         for case in cases:
             writer.writerow([case.subject_id, case.scanner_id])
 
@@ -40,7 +42,11 @@ def load_dataset(directory) -> list[CaseRecord]:
         raise FormatError(f"no manifest.csv in {directory}")
     cases = []
     with open(manifest, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise FormatError(f"{manifest}: no {' or '.join(map(repr, missing))} column")
+        for row in reader:
             subject_dir = directory / row["subject_id"]
             mask_path = subject_dir / "mask.nii.gz"
             cases.append(

@@ -82,7 +82,7 @@ class BinaryMask3D(_Grid3D):
 
     def __post_init__(self):
         super().__post_init__()
-        self.data = self.data.astype(bool)
+        self.data = self.data.astype(bool, copy=False)
 
     @property
     def population(self) -> int:

@@ -41,9 +41,16 @@ class PhantomSpec:
         if not 0 <= low <= high:
             raise ConfigurationError(
                 f"lesion count range must satisfy 0 <= low <= high, got {low},{high}")
+        r_low, r_high = self.lesion_radius_range
+        if not 0 < r_low <= r_high:
+            raise ConfigurationError(
+                f"lesion radius range must satisfy 0 < low <= high, got {r_low},{r_high}")
+        if not self.lesion_z_radius > 0:
+            raise ConfigurationError(f"lesion z radius must be > 0, got {self.lesion_z_radius}")
+        if not self.noise_std >= 0:
+            raise ConfigurationError(f"noise std must be >= 0, got {self.noise_std}")
         nx, ny, _ = self.dims
-        max_radius = self.lesion_radius_range[1]
-        if max_radius >= min(nx, ny) * min(BRAIN_AXES_FRACTION[:2]):
+        if r_high >= min(nx, ny) * min(BRAIN_AXES_FRACTION[:2]):
             raise ConfigurationError("lesion radius does not fit inside the brain ellipse")
 
 

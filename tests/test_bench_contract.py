@@ -11,9 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wmhseg import augment, metrics, phantom, pipeline
+from wmhseg import augment, datasets, metrics, nifti, phantom, pipeline
 from wmhseg.ensemble import EnsembleConfig
-from wmhseg.net import training
+from wmhseg.net import training, unet, weights_io
+from wmhseg.preprocess import CaseRecord
 
 # (callable, positional arguments, keyword names) as perfbench's workloads
 # pass them; the values only stand in for the real ones.
@@ -29,6 +30,17 @@ CALLS = [
     (phantom.phantom_generate, ("spec", "n"), ()),
     (augment.augment_dataset, ("x", "g", "factor", "seed"), ()),
     (metrics.evaluate_case, ("gt", "pred"), ("spacing",)),
+    (weights_io.save_weights, ("path", "spec", "weights"), ()),
+    (weights_io.load_weights, ("path",), ()),
+    (unet.build_unet, (), ("input_channels", "base_width")),
+    (unet.init_weights, ("spec", "rng"), ()),
+    (unet.forward, ("spec", "weights", "x"), ()),
+    (nifti.read_nifti, ("path",), ()),
+    (nifti.read_nifti_mask, ("path",), ()),
+    (nifti.write_nifti, ("vol", "path"), ()),
+    (datasets.save_dataset, ("cases", "dir"), ()),
+    (datasets.load_dataset, ("dir",), ()),
+    (CaseRecord, (), ("subject_id", "scanner_id", "flair", "t1")),
 ]
 
 # (module, attribute) pairs the layer trace replaces with timing wrappers.

@@ -476,6 +476,33 @@ class TestErrorReporting:
         lines = err.getvalue().decode().splitlines()
         assert lines == ["ERROR MemoryError: Unable to allocate 12.4 GiB for an array"]
 
+    def test_memory_error_subclass_reported_by_public_name(self, runner, tmp_path,
+                                                            monkeypatch):
+        class _ArrayMemoryError(MemoryError):  # as numpy raises it
+            pass
+
+        def out_of_memory(*args, **kwargs):
+            raise _ArrayMemoryError("Unable to allocate 3.1 GiB for an array")
+
+        monkeypatch.setattr(cli.datasets, "load_dataset", out_of_memory)
+        code, lines = run_failing(runner, ["train", "--data", str(tmp_path), "--epochs", "1",
+                                           "--out", str(tmp_path / "m.wmhnet")])
+        assert code == 2
+        assert lines == ["ERROR MemoryError: Unable to allocate 3.1 GiB for an array"]
+
+    @pytest.mark.parametrize("header, missing", [
+        ("subject,scanner", "'subject_id' or 'scanner_id'"),
+        ("subject_id,site", "'scanner_id'"),
+    ], ids=["both", "scanner"])
+    def test_manifest_without_its_columns(self, runner, tmp_path, header, missing):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{header}\nphantom_000,scanner_a\n")
+        code, lines = run_failing(runner, ["train", "--data", str(tmp_path), "--epochs", "1",
+                                           "--out", str(tmp_path / "m.wmhnet")])
+        assert code == 2
+        assert lines == [f"ERROR FormatError: {manifest}: no {missing} column"]
+        assert not (tmp_path / "m.wmhnet").exists()
+
     def test_preprocess_out_under_a_file(self, runner, tmp_path):
         data = tmp_path / "data"
         invoke(runner, ["phantom", "--out", str(data), "--count", "1",

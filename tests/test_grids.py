@@ -55,6 +55,16 @@ class TestTypes:
         with pytest.raises(ContractError, match="^BinaryMask3D data must be 3D"):
             BinaryMask3D(np.zeros((2, 2), bool), SPACING)
 
+    def test_mask_shares_a_bool_array(self):
+        data = np.zeros((2, 3, 4), bool)
+        assert np.shares_memory(BinaryMask3D(data, SPACING).data, data)
+
+    def test_mask_casts_a_uint8_array_to_bool(self):
+        data = np.arange(24, dtype=np.uint8).reshape(2, 3, 4) % 3
+        m = BinaryMask3D(data, SPACING)
+        assert m.data.dtype == bool
+        np.testing.assert_array_equal(m.data, data != 0)
+
     def test_dims_ordering(self):
         v = Volume3D(np.zeros((3, 4, 5)), (0.96, 0.95, 3.0))
         assert v.dims == (5, 4, 3)  # (nx, ny, nz)

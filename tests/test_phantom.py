@@ -20,6 +20,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="lesion count range"):
             PhantomSpec(lesion_count_range=lesions)
 
+    @pytest.mark.parametrize("radii", [(3.0, 1.5), (-2.0, -1.0), (0.0, 2.0)],
+                             ids=["descending", "negative", "zero-low"])
+    def test_lesion_radius_range_ordered_and_positive(self, radii):
+        with pytest.raises(ConfigurationError, match="lesion radius range"):
+            PhantomSpec(lesion_radius_range=radii)
+
+    @pytest.mark.parametrize("z_radius", [-1.0, 0.0])
+    def test_lesion_z_radius_positive(self, z_radius):
+        with pytest.raises(ConfigurationError, match="lesion z radius must be > 0"):
+            PhantomSpec(lesion_z_radius=z_radius)
+
+    def test_noise_std_non_negative(self):
+        with pytest.raises(ConfigurationError, match="noise std must be >= 0"):
+            PhantomSpec(noise_std=-5.0)
+
     def test_lesion_must_fit(self):
         with pytest.raises(ConfigurationError):
             PhantomSpec(dims=(8, 8, 16), lesion_radius_range=(1.5, 10.0))

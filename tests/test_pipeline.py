@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -140,4 +141,15 @@ class TestDatasets:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
+            datasets.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("header, missing", [
+        ("subject,scanner", "'subject_id' or 'scanner_id'"),
+        ("subject_id,site", "'scanner_id'"),
+        ("", "'subject_id' or 'scanner_id'"),
+    ], ids=["both", "scanner", "empty"])
+    def test_manifest_without_its_columns(self, tmp_path, header, missing):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(header + "\n" if header else "")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(manifest))}: no {missing} column$"):
             datasets.load_dataset(tmp_path)

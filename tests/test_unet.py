@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -80,14 +81,9 @@ def reseal(body):
     return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-# (offset, struct format) of each header integer in a tiny_net() weight file:
-# version, input channels, width count, the five widths and the layer count,
-# then conv01's kernel dtype code, ndim and shape, and after its 4x2x5x5
-# float64 values, its bias dtype code, ndim and length.
-_BIAS0 = 70 + 4 * 2 * 5 * 5 * 8
-HEADER_FIELDS = [(8, "<I"), (20, "<I"), (24, "<I"), *[(28 + 4 * i, "<I") for i in range(5)],
-                 (48, "<I"), (52, "<B"), (53, "<B"), *[(54 + 4 * i, "<I") for i in range(4)],
-                 (_BIAS0, "<B"), (_BIAS0 + 1, "<B"), (_BIAS0 + 2, "<I")]
+# (offset, struct format) of each header integer in a weight file: version,
+# input channels, base width and the dtype code.
+HEADER_FIELDS = [(8, "<I"), (12, "<I"), (16, "<I"), (20, "<B")]
 
 
 def tiny_net(input_channels=2, base_width=4, seed=0):
@@ -331,11 +327,21 @@ class TestWeightsIO:
         with pytest.raises(FormatError):
             load_weights(path)
 
-    def test_zero_widths_rejected(self, tmp_path):
+    @pytest.mark.parametrize("input_channels, base_width, field", [
+        (0, 4, "input_channels"),
+        (2, 0, "base_width"),
+    ], ids=["channels", "width"])
+    def test_zero_channels_or_width_rejected(self, tmp_path, input_channels, base_width, field):
         path = tmp_path / "model.wmhnet"
-        path.write_bytes(reseal(MAGIC + struct.pack("<I", VERSION) + bytes(8)
-                                + struct.pack("<II", 2, 0)))
-        with pytest.raises(FormatError, match="stores 0 widths, the network has 5"):
+        path.write_bytes(reseal(MAGIC + struct.pack("<IIIB", VERSION, input_channels,
+                                                    base_width, 1)))
+        with pytest.raises(FormatError, match=f"weight file header: {field} must be >= 1"):
+            load_weights(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "model.wmhnet"
+        path.write_bytes(reseal(MAGIC + struct.pack("<I", 1) + bytes(64)))
+        with pytest.raises(FormatError, match="unsupported weight file version 1"):
             load_weights(path)
 
     @pytest.mark.parametrize("layer, part, shape", [
@@ -343,16 +349,49 @@ class TestWeightsIO:
         (3, 1, (6, 1)),
         (18, 1, (2,)),
     ], ids=["kernel", "bias-ndim", "bias-length"])
-    def test_array_shapes_checked_against_spec(self, tmp_path, layer, part, shape):
+    def test_misshaped_save_rejected(self, tmp_path, layer, part, shape):
         spec, weights = tiny_net(base_width=4)
         pair = list(weights[layer])
         pair[part] = np.zeros(shape)
         weights[layer] = tuple(pair)
         path = tmp_path / "model.wmhnet"
-        save_weights(path, spec, weights)  # a valid checksum over a wrong shape
         name = ("kernel", "bias")[part]
-        with pytest.raises(FormatError, match=rf"layer {layer + 1} {name} has shape "
-                                              rf"\({', '.join(map(str, shape))},?\)"):
+        with pytest.raises(ContractError, match=rf"layer {layer + 1} {name} has shape "
+                                                rf"\({', '.join(map(str, shape))},?\)"):
+            save_weights(path, spec, weights)
+        assert not path.exists()
+
+    def test_save_with_a_layer_missing_rejected(self, tmp_path):
+        spec, weights = tiny_net(base_width=4)
+        with pytest.raises(ContractError, match="weight set has 36 arrays, the spec needs 38"):
+            save_weights(tmp_path / "model.wmhnet", spec, weights[:-1])
+
+    def test_spec_not_from_build_unet_rejected(self, tmp_path):
+        spec, weights = tiny_net(base_width=4)
+        spec = dataclasses.replace(spec, widths=(4, 6, 8, 16, 33))
+        with pytest.raises(ContractError, match="spec is not one build_unet"):
+            save_weights(tmp_path / "model.wmhnet", spec, weights)
+
+    @pytest.mark.parametrize("kernel, bias", [(np.float16, np.float16), (np.float32, np.float64)],
+                             ids=["float16", "mixed"])
+    def test_save_needs_one_float_dtype(self, tmp_path, kernel, bias):
+        spec, weights = tiny_net(base_width=4)
+        weights = [(w.astype(kernel), b.astype(bias)) for w, b in weights]
+        with pytest.raises(ContractError, match="share one float32 or float64 dtype"):
+            save_weights(tmp_path / "model.wmhnet", spec, weights)
+
+    @pytest.mark.parametrize("delta", [1, -1, -8], ids=["extra-byte", "missing-byte",
+                                                       "missing-array"])
+    def test_body_length_checked_against_spec(self, tmp_path, delta):
+        # Resealed, so only the length is wrong; the last array is the
+        # head's one float64 bias, 8 bytes.
+        spec, weights = tiny_net(base_width=4)
+        path = tmp_path / "model.wmhnet"
+        save_weights(path, spec, weights)
+        body = path.read_bytes()[:-4]
+        path.write_bytes(reseal(body[:len(body) + delta] + bytes(max(delta, 0))))
+        with pytest.raises(FormatError, match=f"body is {len(body) + delta} bytes, "
+                                              f"the spec needs {len(body)}"):
             load_weights(path)
 
     @given(field=st.sampled_from(HEADER_FIELDS), value=st.integers(0, 2**32 - 1))
