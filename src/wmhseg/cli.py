@@ -22,7 +22,7 @@ from click.core import ParameterSource
 from . import datasets
 from .augment import augment_dataset
 from .ensemble import EnsembleConfig
-from .errors import FormatError, WmhsegError
+from .errors import ContractError, FormatError, WmhsegError
 from .grids import BinaryMask3D, Volume3D
 from .metrics import check_header, evaluate_case, parse_cell
 from .net.training import TrainConfig, train
@@ -207,6 +207,11 @@ def predict(models, flair, t1_path, threshold, z_trim, target, out_path):
     """Segment a case with a model ensemble; writes a binary mask."""
     loaded = [load_weights(p) for p in models]
     spec = loaded[0][0]
+    for path, (other, _) in zip(models[1:], loaded[1:]):
+        if other != spec:
+            raise ContractError(" and ".join(
+                f"{p} ({s.input_channels} input channels, base width {s.widths[0]})"
+                for p, s in ((models[0], spec), (path, other))) + " hold different networks")
     weight_sets = [w for _, w in loaded]
     case = CaseRecord(subject_id="case", scanner_id="unknown",
                       flair=read_nifti(flair), t1=read_nifti(t1_path))

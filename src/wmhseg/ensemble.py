@@ -52,7 +52,7 @@ def threshold_map(prob: np.ndarray, threshold: float,
                   spacing=(1.0, 1.0, 1.0)) -> BinaryMask3D:
     """Binarize a probability map with a strict p > t rule."""
     data = np.asarray(prob)
-    if data.min() < 0 or data.max() > 1:
+    if not (data.min() >= 0 and data.max() <= 1):  # NaN fails both
         raise ContractError("probability map values must lie in [0, 1]")
     return BinaryMask3D(data=data > threshold, spacing=spacing)
 

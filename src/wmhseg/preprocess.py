@@ -175,6 +175,11 @@ def preprocess_case(
     channel_stacks = []
     for modality in modalities:
         vol = volumes[modality]
+        # One NaN would turn the masked mean and std, so every sample, to NaN.
+        n_bad = vol.data.size - np.count_nonzero(np.isfinite(vol.data))
+        if n_bad:
+            raise ContractError(f"case {case.subject_id}: {modality} has {n_bad} "
+                                f"non-finite voxel(s)")
         mask = brain_mask(vol, thresholds[modality])
         normalized, mean, std, degenerate = gaussian_normalize(vol, mask)
         record.normalization[modality] = (mean, std)

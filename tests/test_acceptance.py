@@ -265,7 +265,7 @@ def test_criterion_9_round_trips(tmp_path):
             data = rng.integers(0, 120, (3, 6, 6)).astype(dtype)
         vol = Volume3D(data, SPACING)
         path = tmp_path / f"t_{np.dtype(dtype).name}.nii.gz"
-        write_nifti(vol, path, datatype=dtype)
+        write_nifti(vol, path)
         back = read_nifti(path)
         ok &= np.array_equal(back.data, data)
         ok &= np.allclose(back.spacing, SPACING, rtol=1e-6)

@@ -14,7 +14,7 @@ from wmhseg import cli, sweep
 from wmhseg.cli import main
 from wmhseg.net.unet import build_unet, init_weights
 from wmhseg.net.weights_io import save_weights
-from wmhseg.nifti import read_nifti_mask
+from wmhseg.nifti import read_nifti, read_nifti_mask, write_nifti
 
 
 @pytest.fixture
@@ -450,6 +450,42 @@ class TestErrorReporting:
         assert result.exit_code == 2
         assert f"Error: Invalid value for '{option}'" in result.output
         assert not (tmp_path / "data").exists()
+
+    def test_predict_rejects_non_finite_voxel(self, runner, tmp_path):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "1",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        subject = data / "phantom_000"
+        scan = read_nifti(subject / "flair.nii.gz")
+        scan.data[4, 16, 16] = np.nan
+        flair = tmp_path / "nan_flair.nii.gz"
+        write_nifti(scan, flair)
+        spec = build_unet(base_width=2)
+        model = tmp_path / "model.wmhnet"
+        save_weights(model, spec, init_weights(spec, np.random.default_rng(0)))
+        code, lines = run_failing(runner, [
+            "predict", "--models", str(model), "--flair", str(flair),
+            "--t1", str(subject / "t1.nii.gz"), "--target", "32,32",
+            "--out", str(tmp_path / "pred.nii.gz")])
+        assert code == 2
+        assert lines == ["ERROR ContractError: case case: flair has 1 non-finite voxel(s)"]
+        assert not (tmp_path / "pred.nii.gz").exists()
+
+    def test_predict_names_models_that_differ(self, runner, tmp_path):
+        paths = []
+        for width in (2, 4):
+            spec = build_unet(base_width=width)
+            paths.append(tmp_path / f"w{width}.wmhnet")
+            save_weights(paths[-1], spec, init_weights(spec, np.random.default_rng(0)))
+        scan = tmp_path / "scan.nii"
+        scan.write_bytes(b"")  # never read: the models are checked first
+        code, lines = run_failing(runner, [
+            "predict", "--models", ",".join(map(str, paths)), "--flair", str(scan),
+            "--t1", str(scan), "--out", str(tmp_path / "pred.nii.gz")])
+        assert code == 2
+        assert lines == [f"ERROR ContractError: {paths[0]} (2 input channels, base width 2) "
+                         f"and {paths[1]} (2 input channels, base width 4) "
+                         f"hold different networks"]
 
     def test_memory_error_line(self, runner, tmp_path, monkeypatch):
         data = tmp_path / "data"

@@ -103,6 +103,10 @@ class TestThresholdMap:
         with pytest.raises(ContractError):
             threshold_map(np.array([[[1.5]]]), 0.5)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ContractError):
+            threshold_map(np.full((2, 2, 2), np.nan), 0.5)
+
 
 def record_for(dims, offsets=((0, 0), (0, 0))):
     return PreprocessRecord(original_dims=dims, offsets=offsets,

@@ -32,7 +32,7 @@ def small_volume(dtype=np.float32, spacing=(0.96, 0.95, 3.0)):
 def test_round_trip_exact(tmp_path, dtype):
     vol = small_volume(dtype)
     path = tmp_path / "vol.nii"
-    write_nifti(vol, path, datatype=dtype)
+    write_nifti(vol, path)
     back = read_nifti(path)
     np.testing.assert_array_equal(back.data, vol.data)
     assert back.dims == vol.dims
@@ -108,7 +108,7 @@ def test_big_endian_file_read_via_swap(tmp_path):
 def test_scl_slope_applied(tmp_path):
     vol = small_volume(np.int16)
     path = tmp_path / "scaled.nii"
-    write_nifti(vol, path, datatype=np.int16)
+    write_nifti(vol, path)
     raw = bytearray(path.read_bytes())
     struct.pack_into("<f", raw, 112, 2.0)   # scl_slope
     struct.pack_into("<f", raw, 116, 10.0)  # scl_inter
@@ -222,6 +222,41 @@ def test_zero_qfac_written_as_one(tmp_path):
     out = tmp_path / "out.nii"
     write_nifti(read_nifti(oriented_file(tmp_path / "src.nii", "<", 0.0)), out)
     assert struct.unpack_from("<f", out.read_bytes(), 76)[0] == 1.0
+
+
+def scribbled_header(path, endian):
+    """An oriented_file header (qfac -1) whose fields a writer must all reset."""
+    hdr = bytearray(oriented_file(path, endian, -1.0).read_bytes()[:HEADER_SIZE])
+    struct.pack_into(endian + "8h", hdr, 40, 4, 9, 9, 9, 9, 9, 9, 9)
+    struct.pack_into(endian + "2h", hdr, 70, 64, 64)
+    struct.pack_into(endian + "4f", hdr, 92, 7.0, 7.0, 7.0, 7.0)  # pixdim[4..7]
+    struct.pack_into(endian + "3f", hdr, 108, 400.0, 2.0, 10.0)
+    hdr[344:348] = b"ni1\x00"
+    return bytes(hdr)
+
+
+@pytest.mark.parametrize("dtype, code, bitpix", [(np.uint8, 2, 8), (np.int16, 4, 16),
+                                                 (np.float32, 16, 32)])
+@pytest.mark.parametrize("template", ["<", ">", None], ids=["little", "big", "memory"])
+def test_written_fields_sit_at_nifti1_offsets(tmp_path, dtype, code, bitpix, template):
+    # Reads each field with struct at its nifti1.h offset, independently of
+    # the header declaration the writer uses.
+    vol = small_volume(dtype)
+    header = scribbled_header(tmp_path / "src.nii", template) if template else None
+    out = tmp_path / "out.nii"
+    write_nifti(Volume3D(vol.data, vol.spacing, header), out)
+    raw, e = out.read_bytes(), template or "<"
+    nx, ny, nz = vol.dims
+    assert struct.unpack_from(e + "i", raw, 0) == (348,)
+    assert struct.unpack_from(e + "8h", raw, 40) == (3, nx, ny, nz, 1, 1, 1, 1)
+    assert struct.unpack_from(e + "2h", raw, 70) == (code, bitpix)
+    qfac = -1.0 if template else 1.0
+    assert struct.unpack_from(e + "8f", raw, 76) == (qfac, *np.float32(vol.spacing).tolist(),
+                                                     0.0, 0.0, 0.0, 0.0)
+    assert struct.unpack_from(e + "3f", raw, 108) == (352.0, 1.0, 0.0)  # vox_offset, scl_*
+    assert raw[344:348] == b"n+1\x00"
+    np.testing.assert_array_equal(
+        np.frombuffer(raw, np.dtype(dtype).newbyteorder(e), offset=352), vol.data.ravel())
 
 
 def _corrupt(path, offset, fmt, value):

@@ -211,6 +211,14 @@ class TestPreprocessCase:
         assert record.degenerate
         assert not samples.any()
 
+    @pytest.mark.parametrize("modality", ["flair", "t1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_rejected(self, modality, value):
+        case = make_case()
+        getattr(case, modality).data[1, 16, 16] = value
+        with pytest.raises(ContractError, match=f"case s1: {modality} has 1 non-finite"):
+            preprocess_case(case, target=(48, 48))
+
     def test_truth_binary_after_geometry(self):
         case = make_case()
         _, truth, _ = preprocess_case(case, target=(64, 64))
