@@ -39,10 +39,6 @@ class NetworkSpec:
     widths: tuple[int, ...]
     layers: tuple[ConvSpec, ...]
 
-    @property
-    def n_conv_layers(self) -> int:
-        return len(self.layers)
-
 
 def build_unet(input_channels: int = 2, base_width: int = 64) -> NetworkSpec:
     """Construct the network spec, channel widths scaled by base_width/64."""

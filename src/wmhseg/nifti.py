@@ -137,6 +137,9 @@ def _build_header(dims, spacing, np_dtype, template: bytes | None):
     """(header, byte order) for a volume.  A template's own fields, byte
     order and qfac (pixdim[0], written as its sign, 0 read as +1) are kept;
     without one the header is little-endian with qfac +1."""
+    for axis, n in zip("xyz", dims):
+        if n > np.iinfo(np.int16).max:
+            raise ContractError(f"dim {axis} is {n}; NIfTI-1 stores dims as int16 (at most 32767)")
     hdr = bytearray(template) if template else bytearray(HEADER_SIZE)
     if len(hdr) != HEADER_SIZE:
         raise FormatError("header template must be 348 bytes")

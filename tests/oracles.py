@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive (explicit flood fill, all-pairs
 distances, per-pixel resampling, nested-loop convolution, exhaustive sign
-enumeration) and shares no code with the package.
+enumeration) or is the straightforward library call the package replaced
+(per-slice ``map_coordinates``), and shares no code with the package.
 """
 
 from collections import deque
 from itertools import product
 
 import numpy as np
+from scipy import ndimage
 
 
 def neighbor_offsets_3d(connectivity):
@@ -126,6 +128,40 @@ def affine_resample_oracle(img, matrix, interpolation):
     return out
 
 
+def map_coordinates_affine(slice2d, inv, interpolation):
+    """One slice resampled by ``scipy.ndimage.map_coordinates`` under an
+    inverse 2x2 map on (x, y) offsets from the center: order 1 for
+    "bilinear" (float64 out), order 0 at rint coordinates for "nearest"
+    (the input's dtype out), mode "grid-constant", cval 0."""
+    h, w = slice2d.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    dx, dy = xs - cx, ys - cy
+    coords = np.stack([inv[1, 0] * dx + inv[1, 1] * dy + cy,
+                       inv[0, 0] * dx + inv[0, 1] * dy + cx])
+    if interpolation == "nearest":
+        return ndimage.map_coordinates(slice2d, np.rint(coords), order=0, mode="grid-constant")
+    return ndimage.map_coordinates(slice2d.astype(np.float64), coords, order=1,
+                                   mode="grid-constant")
+
+
+def augment_dataset_reference(samples, labels, factor, transforms):
+    """The originals, then copy j of every sample i resampled slice by slice
+    under ``transforms(i, j)``'s forward 2x2 map: channels bilinear, labels
+    nearest."""
+    out_samples, out_labels = [samples], [labels]
+    for j in range(1, factor):
+        batch_s, batch_l = np.empty_like(samples), np.empty_like(labels)
+        for i in range(samples.shape[0]):
+            inv = np.linalg.inv(transforms(i, j))
+            for c in range(samples.shape[1]):
+                batch_s[i, c] = map_coordinates_affine(samples[i, c], inv, "bilinear")
+            batch_l[i] = map_coordinates_affine(labels[i], inv, "nearest")
+        out_samples.append(batch_s)
+        out_labels.append(batch_l)
+    return np.concatenate(out_samples), np.concatenate(out_labels)
+
+
 def percentile_linear(values, q):
     """Linear-interpolated order statistic, written out explicitly."""
     values = np.sort(np.asarray(values, dtype=np.float64))
@@ -184,6 +220,60 @@ def conv2d_naive(x, w, b):
                                 acc += xp[ni, ci, yi + ky, xi + kx] * w[fi, ci, ky, kx]
                     y[ni, fi, yi, xi] = acc + b[fi]
     return y
+
+
+def unet_forward_oracle(weights, x, kinks=None):
+    """Float64 forward of the 19-conv U-Net: 4 encoder stages of two convs
+    and a 2x2 max pool, two bottleneck convs, 4 decoder stages of nearest 2x
+    upsampling, concatenation [upsampled, skip] and two convs, a 1x1 conv and
+    a sigmoid; ReLU after every conv but the last.  The input is zero-padded
+    at the high end of each side to a multiple of 16 and the output cropped
+    back.  Every ReLU's active set and every pool's argmax is appended to
+    ``kinks``: two weight sets with equal kinks lie on one smooth piece."""
+    record = kinks.append if kinks is not None else (lambda _: None)
+
+    def conv(h, li):
+        w, b = weights[li]
+        k = w.shape[-1]
+        p = k // 2
+        n, _, hh, ww = h.shape
+        hp = np.pad(h, ((0, 0), (0, 0), (p, p), (p, p)))
+        out = np.zeros((n, w.shape[0], hh, ww))
+        for i in range(k):
+            for j in range(k):
+                out += np.einsum("fc,nchw->nfhw", w[:, :, i, j], hp[:, :, i:i + hh, j:j + ww])
+        return out + b[None, :, None, None]
+
+    def conv_relu(h, li):
+        h = conv(h, li)
+        record(h > 0)
+        return np.maximum(h, 0)
+
+    n, _, height, width = x.shape
+    h = np.pad(x, ((0, 0), (0, 0), (0, -height % 16), (0, -width % 16)))
+    skips, li = [], 0
+    for _ in range(4):
+        h = conv_relu(conv_relu(h, li), li + 1)
+        li += 2
+        skips.append(h)
+        _, c, hh, ww = h.shape
+        windows = h.reshape(n, c, hh // 2, 2, ww // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        windows = windows.reshape(n, c, hh // 2, ww // 2, 4)
+        record(windows.argmax(axis=-1))
+        h = windows.max(axis=-1)
+    h = conv_relu(conv_relu(h, li), li + 1)
+    li += 2
+    for skip in reversed(skips):
+        h = np.concatenate([h.repeat(2, axis=2).repeat(2, axis=3), skip], axis=1)
+        h = conv_relu(conv_relu(h, li), li + 1)
+        li += 2
+    z = conv(h, li)[:, 0, :height, :width]
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def dice_loss_oracle(p, g):
+    """Negative soft Dice over the whole batch, smoothing 1."""
+    return -(2.0 * np.sum(p * g) + 1.0) / (np.sum(p) + np.sum(g) + 1.0)
 
 
 def wilcoxon_enumerate(differences):

@@ -158,7 +158,7 @@ def test_criterion_4_architecture():
     n_params = param_count(spec)
     reference_count = 8_748_609  # reference architecture total
     ok = (
-        spec.n_conv_layers == 19
+        len(spec.layers) == 19
         and kernels[:2] == [5, 5]
         and kernels[-1] == 1
         and all(k == 3 for k in kernels[2:-1])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmhseg import augment
 from wmhseg.augment import (
     ROTATION_RANGE,
     SCALE_RANGE,
@@ -13,8 +16,10 @@ from wmhseg.augment import (
     sample_affine,
     transform_for,
 )
+from wmhseg.phantom import PhantomSpec, phantom_generate
+from wmhseg.pipeline import case_training_arrays
 
-from oracles import affine_resample_oracle
+from oracles import affine_resample_oracle, augment_dataset_reference, map_coordinates_affine
 
 
 class TestMatrix:
@@ -179,7 +184,89 @@ class TestAugmentDataset:
         np.testing.assert_allclose(
             out_s[1, 0], apply_affine(samples[0, 0], params, "bilinear"), atol=1e-6)
 
+    def test_zero_area_slices(self):
+        out_s, out_l = augment_dataset(np.zeros((2, 2, 0, 5), np.float32),
+                                       np.zeros((2, 0, 5), bool), factor=3, seed=0)
+        assert out_s.shape == (6, 2, 0, 5) and out_l.shape == (6, 0, 5)
+
     def test_invalid_factor(self):
         samples, labels = self._data()
         with pytest.raises(ValueError):
             augment_dataset(samples, labels, factor=0, seed=0)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def reference(samples, labels, factor, seed):
+    return augment_dataset_reference(samples, labels, factor,
+                                     lambda i, j: transform_for(seed, i, j).matrix())
+
+
+class TestMatchesMapCoordinates:
+    """The stacked kernel repeats map_coordinates' arithmetic: byte-identical output."""
+
+    def test_criterion_5_phantoms(self):
+        x, g = case_training_arrays(phantom_generate(PhantomSpec(seed=7), 3))
+        assert x.shape == (48, 2, 64, 64)
+        assert_same_bytes(augment_dataset(x, g, 10, 7), reference(x, g, 10, 7))
+
+    def test_paper_slice_size(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(5, 2, 200, 200)).astype(np.float32)
+        g = rng.random((5, 200, 200)) < 0.05
+        assert_same_bytes(augment_dataset(x, g, 3, 4), reference(x, g, 3, 4))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_integer_labels_nearest(self, dtype):
+        rng = np.random.default_rng(21)
+        x = rng.random((4, 2, 13, 11)).astype(np.float32)
+        g = rng.integers(0, 200, (4, 13, 11)).astype(dtype)
+        assert_same_bytes(augment_dataset(x, g, 4, 5), reference(x, g, 4, 5))
+
+    @pytest.mark.parametrize("slices", [1, 3, None], ids=["one-slice", "three-slices", "whole-set"])
+    def test_chunk_size_does_not_change_bytes(self, monkeypatch, slices):
+        # 7 samples x 3 copies: a three-slice chunk straddles copies and ends short
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(7, 2, 12, 12)).astype(np.float32)
+        g = rng.random((7, 12, 12)) < 0.3
+        want = reference(x, g, 4, 6)
+        monkeypatch.setattr(augment, "CHUNK_PIXELS", 144 * (slices or 21))
+        assert_same_bytes(augment_dataset(x, g, 4, 6), want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 7), (7, 2), (3, 3), (9, 7), (33, 17)])
+    def test_apply_affine_wide_transforms(self, shape):
+        # rotations to 90 deg, shears to 40 deg, scales 0.3-3, float64 and float32;
+        # a side of 2 pixels puts coordinates below 1, where 1 - (1 - t) != t
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(40):
+            params = AffineParams(rotation_deg=rng.uniform(-90, 90),
+                                  shear_deg=rng.uniform(-40, 40),
+                                  scale_x=rng.uniform(0.3, 3), scale_y=rng.uniform(0.3, 3))
+            inv = np.linalg.inv(params.matrix())
+            x = rng.normal(size=shape)
+            assert apply_affine(x, params).tobytes() == \
+                map_coordinates_affine(x, inv, "bilinear").tobytes()
+            x32 = x.astype(np.float32)
+            assert apply_affine(x32, params).tobytes() == \
+                map_coordinates_affine(x32, inv, "bilinear").astype(np.float32).tobytes()
+            labels = rng.random(shape) < 0.5
+            assert apply_affine(labels, params, "nearest").tobytes() == \
+                map_coordinates_affine(labels, inv, "nearest").tobytes()
+
+    def test_memory_bounded_by_output(self):
+        # 48 samples x 10 at 64x64: the output plus chunk-sized temporaries
+        rng = np.random.default_rng(23)
+        x = rng.random((48, 2, 64, 64)).astype(np.float32)
+        g = rng.random((48, 64, 64)) < 0.1
+        tracemalloc.start()
+        try:
+            out_x, out_g = augment_dataset(x, g, 10, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out_x.shape[0] == 480
+        assert peak < 1.5 * (out_x.nbytes + out_g.nbytes)

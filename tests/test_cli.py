@@ -334,6 +334,15 @@ class TestErrorReporting:
                          f"0 <= low <= high, got {lesions}"]
         assert not out.exists()
 
+    def test_phantom_rejects_dim_beyond_nifti_range(self, runner, tmp_path):
+        out = tmp_path / "data"
+        code, lines = run_failing(runner, ["phantom", "--out", str(out), "--count", "1",
+                                           "--dims", "40000,8,8", "--lesions", "0,0"])
+        assert code == 2
+        assert lines == ["ERROR ContractError: dim x is 40000; "
+                         "NIfTI-1 stores dims as int16 (at most 32767)"]
+        assert not list(out.rglob("*.nii*"))
+
     def test_usage_error_nonzero_exit(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "wmhseg.cli", "rank"],

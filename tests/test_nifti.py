@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmhseg.errors import FormatError, UnsupportedTypeError
+from wmhseg.errors import ContractError, FormatError, UnsupportedTypeError
 from wmhseg.grids import BinaryMask3D, Volume3D
 from wmhseg.nifti import (
     HEADER_SIZE,
@@ -63,6 +63,21 @@ def test_write_failure_keeps_its_os_error(tmp_path, suffix):
     with pytest.raises(FileNotFoundError) as info:
         write_nifti(small_volume(), path)
     assert info.value.filename == str(path)
+
+
+@pytest.mark.parametrize("shape, axis", [((1, 1, 40000), "x"), ((1, 32768, 1), "y"),
+                                         ((40000, 1, 1), "z")])
+def test_dim_beyond_int16_rejected(tmp_path, shape, axis):
+    path = tmp_path / "vol.nii"
+    with pytest.raises(ContractError, match=f"dim {axis} is {max(shape)};"):
+        write_nifti(Volume3D(np.zeros(shape, np.uint8), (1, 1, 1)), path)
+    assert not path.exists()
+
+
+def test_dim_at_int16_max_written(tmp_path):
+    path = tmp_path / "vol.nii"
+    write_nifti(Volume3D(np.zeros((1, 1, 32767), np.uint8), (1, 1, 1)), path)
+    assert read_nifti(path).dims == (32767, 1, 1)
 
 
 def test_spacing_from_pixdim(tmp_path):

@@ -21,10 +21,12 @@ from wmhseg.net.unet import (
 from wmhseg.net.loss import dice_loss_grad
 from wmhseg.net.weights_io import MAGIC, VERSION, load_weights, save_weights
 
+from oracles import dice_loss_oracle, unet_forward_oracle
+
 
 class TestSpec:
     def test_nineteen_conv_layers(self):
-        assert build_unet().n_conv_layers == 19
+        assert len(build_unet().layers) == 19
 
     def test_first_two_kernels_5x5(self):
         spec = build_unet()
@@ -197,6 +199,39 @@ class TestBackprop:
         x = rng.normal(size=(1, 2, 20, 25))
         g = (rng.random((1, 20, 25)) < 0.3).astype(np.float64)
         assert worst_gradient_error(spec, weights, x, g, parts=(0, 1)) < 1e-4
+
+    @pytest.mark.parametrize("size", [(16, 16), (20, 25)], ids=["aligned", "padded"])
+    def test_directional_derivative(self, size):
+        # Every weight and bias moves along one seeded direction.  The central
+        # difference of the oracle's loss is taken over a step on which no
+        # ReLU and no max pool changes its choice, so it sees one smooth piece
+        # and float64 keeps its error far below the tolerance.
+        spec, weights = tiny_net(base_width=2, seed=5)
+        rng = np.random.default_rng(11)
+        weights = [(w, rng.normal(0.0, 0.1, b.shape)) for w, b in weights]
+        x = rng.normal(size=(2, 2, *size))
+        g = (rng.random((2, *size)) < 0.3).astype(np.float64)
+        p, caches = forward_with_caches(spec, weights, x)
+        _, dp = dice_loss_grad(p, g)
+        grads = backprop(spec, weights, caches, dp)
+        direction = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape))
+                     for w, b in weights]
+        analytic = sum(np.vdot(dw, vw) + np.vdot(db, vb)
+                       for (dw, db), (vw, vb) in zip(grads, direction))
+
+        def loss(step, kinks):
+            moved = [(w + step * vw, b + step * vb)
+                     for (w, b), (vw, vb) in zip(weights, direction)]
+            return dice_loss_oracle(unet_forward_oracle(moved, x, kinks), g)
+
+        for eps in (1e-6, 1e-7, 1e-8, 1e-9):
+            plus, minus = [], []
+            numeric = (loss(eps, plus) - loss(-eps, minus)) / (2 * eps)
+            if all(np.array_equal(a, b) for a, b in zip(plus, minus)):
+                break
+        else:
+            pytest.fail("every step changes a ReLU or max-pool choice")
+        assert abs(numeric - analytic) <= 1e-6 * abs(numeric)
 
     def test_every_layer_gets_a_gradient(self):
         spec, weights = tiny_net(base_width=2)
