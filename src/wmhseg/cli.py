@@ -1,11 +1,11 @@
 """Command line interface.
 
 Subcommands: phantom, split, preprocess, train, predict, evaluate, rank,
-sweep, stats.  Global flags --seed and --config FILE (plain
-key=value lines supplying defaults for any option name; a flag given on the
-command line wins over the file).  Exit code is 0 on success; failures print
-one machine-readable line "ERROR <kind>: <message>" to stderr and exit
-nonzero.
+sweep, stats.  Global flags --seed and --config FILE (key=value lines of
+option defaults keyed by parameter name, such as out_dir; a key that no
+option takes is an error, and a flag given on the command line wins).  Exit
+code is 0 on success; failures print one machine-readable line
+"ERROR <kind>: <message>" to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .net.weights_io import load_weights, save_weights
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .phantom import PhantomSpec, phantom_generate
 from .pipeline import case_training_arrays, predict_case
-from .preprocess import (DEFAULT_FLAIR_THRESHOLD, DEFAULT_T1_THRESHOLD, DEFAULT_TARGET,
-                         CaseRecord, preprocess_case, write_record)
+from .preprocess import DEFAULT_TARGET, CaseRecord, preprocess_case, write_record
 from .ranking import rank_teams, read_team_csv, write_rank_csv
 from .splits import split_cross_scanner, split_loso, split_ratio
 from .stats import benjamini_hochberg, wilcoxon_signed_rank
@@ -81,10 +80,15 @@ def main(ctx, seed, config_file):
     ctx.obj["seed"] = seed
     if config_file:
         defaults = _load_config_defaults(config_file)
+        params = {p.name: p for p in ctx.command.params}
+        known = {"seed"} | {p.name for cmd in main.commands.values() for p in cmd.params}
+        unknown = [key for key in defaults if key not in known]
+        if unknown:
+            raise click.BadParameter(f"{config_file}: {unknown[0]!r} is not the parameter "
+                                     "name of any option", ctx, params["config_file"])
         ctx.default_map = {cmd: defaults for cmd in main.commands}
         if "seed" in defaults and ctx.get_parameter_source("seed") is ParameterSource.DEFAULT:
-            param = next(p for p in ctx.command.params if p.name == "seed")
-            ctx.obj["seed"] = click.INT.convert(defaults["seed"], param, ctx)
+            ctx.obj["seed"] = click.INT.convert(defaults["seed"], params["seed"], ctx)
 
 
 @main.command()
@@ -136,20 +140,16 @@ def split(ctx, data_dir, kind, test_fraction, out_csv):
 @click.option("--t1", "t1_path", required=True, type=click.Path(exists=True))
 @click.option("--gt", "gt_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--flair-thresh", type=float, default=DEFAULT_FLAIR_THRESHOLD, show_default=True)
-@click.option("--t1-thresh", type=float, default=DEFAULT_T1_THRESHOLD, show_default=True)
 @click.option("--target", default=TARGET_TEXT, show_default=True,
               callback=_comma_list(click.INT, 2))
-def preprocess(flair, t1_path, gt_path, out_dir, flair_thresh, t1_thresh, target):
+def preprocess(flair, t1_path, gt_path, out_dir, target):
     """Preprocess one case: normalized slice stacks + sidecar record."""
     case = CaseRecord(
         subject_id="case", scanner_id="unknown",
         flair=read_nifti(flair), t1=read_nifti(t1_path),
         ground_truth=read_nifti_mask(gt_path) if gt_path else None,
     )
-    samples, truth, record = preprocess_case(
-        case, target=target, flair_threshold=flair_thresh, t1_threshold=t1_thresh
-    )
+    samples, truth, record = preprocess_case(case, target=target)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spacing = case.flair.spacing
@@ -287,6 +287,9 @@ def stats(input_csv, out_csv):
         check_header(header, input_csv)
         columns = {name: [] for name in header}
         for row in reader:
+            if len(row) > len(header):
+                raise FormatError(f"{input_csv}, line {reader.line_num}: more cells than the "
+                                  "header has columns")
             for name, value in zip(header, row):
                 if value != "":
                     columns[name].append(parse_cell(value, input_csv, reader.line_num, name))

@@ -47,6 +47,9 @@ def load_dataset(directory) -> list[CaseRecord]:
         if missing:
             raise FormatError(f"{manifest}: no {' or '.join(map(repr, missing))} column")
         for row in reader:
+            if any(case.subject_id == row["subject_id"] for case in cases):
+                raise FormatError(f"{manifest}, line {reader.line_num}: subject "
+                                  f"{row['subject_id']!r} appears twice")
             subject_dir = directory / row["subject_id"]
             mask_path = subject_dir / "mask.nii.gz"
             cases.append(

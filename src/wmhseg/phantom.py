@@ -3,7 +3,7 @@
 Each phantom is an ellipsoidal "brain" on a dark background with a handful
 of bright, well-separated lesion blobs; FLAIR shows the lesions hyperintense
 while T1 shows them at reduced contrast.  Intensities are chosen so the
-default brain-mask thresholds (70 FLAIR / 30 T1) segment the head cleanly.
+brain-mask thresholds (70 FLAIR / 30 T1) segment the head cleanly.
 Generation is fully determined by the spec's seed.
 """
 

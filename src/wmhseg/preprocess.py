@@ -6,7 +6,7 @@ every spatial change exactly, so final masks land back on the original grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +14,8 @@ from .errors import ContractError
 from .grids import BinaryMask3D, Volume3D, fill_holes_2d, largest_component_2d
 
 DEFAULT_TARGET = (200, 200)
-DEFAULT_FLAIR_THRESHOLD = 70.0
-DEFAULT_T1_THRESHOLD = 30.0
+# Brain-mask intensity thresholds of the method, per modality.
+BRAIN_THRESHOLDS = {"flair": 70.0, "t1": 30.0}
 
 # Offsets are ((row_low, row_high), (col_low, col_high)); negative = cropped
 # on that side, positive = padded.
@@ -50,9 +50,7 @@ class PreprocessRecord:
 
     original_dims: tuple[int, int, int]          # (nx, ny, nz)
     offsets: Offsets
-    thresholds: dict[str, float]
     normalization: dict[str, tuple[float, float]]  # modality -> (mean, std)
-    brain_masks: dict[str, BinaryMask3D] = field(default_factory=dict)
     degenerate: bool = False
 
 
@@ -79,6 +77,14 @@ def _cut_or_pad(arr: np.ndarray, offsets: Offsets) -> np.ndarray:
     return arr
 
 
+def _target_offsets(shape, target) -> Offsets:
+    th, tw = target
+    if th <= 0 or tw <= 0:
+        raise ContractError(f"target dims must be positive, got {target}")
+    h, w = shape[-2:]
+    return _split_excess(th - h), _split_excess(tw - w)
+
+
 def crop_or_pad_slice(slices: np.ndarray, target=DEFAULT_TARGET):
     """Center-crop or zero-pad the last two axes to ``target`` (rows, cols).
 
@@ -86,12 +92,8 @@ def crop_or_pad_slice(slices: np.ndarray, target=DEFAULT_TARGET):
     Excess is split evenly with the extra pixel on the high side; padding
     value is 0.
     """
-    th, tw = target
-    if th <= 0 or tw <= 0:
-        raise ContractError(f"target dims must be positive, got {target}")
     slices = np.asarray(slices)
-    h, w = slices.shape[-2:]
-    offsets = (_split_excess(th - h), _split_excess(tw - w))
+    offsets = _target_offsets(slices.shape, target)
     return _cut_or_pad(slices, offsets), offsets
 
 
@@ -152,49 +154,37 @@ def gaussian_normalize(volume: Volume3D, mask: BinaryMask3D):
 def preprocess_case(
     case: CaseRecord,
     target=DEFAULT_TARGET,
-    flair_threshold: float = DEFAULT_FLAIR_THRESHOLD,
-    t1_threshold: float = DEFAULT_T1_THRESHOLD,
     modalities: tuple[str, ...] = ("flair", "t1"),
 ):
     """Turn a case into per-slice network samples plus a PreprocessRecord.
 
-    Returns (samples, truth, record) where samples has shape
-    (n_slices, channels, target_h, target_w) float32 and truth is either a
-    (n_slices, target_h, target_w) bool stack or None.
+    Each modality is masked at its ``BRAIN_THRESHOLDS`` value, z-scored inside
+    the mask and cropped or padded to ``target``.  Returns (samples, truth,
+    record): samples is (n_slices, channels, target_h, target_w) float32,
+    truth a (n_slices, target_h, target_w) bool stack or None.
     """
-    volumes = {"flair": case.flair, "t1": case.t1}
-    thresholds = {"flair": flair_threshold, "t1": t1_threshold}
-
-    record = PreprocessRecord(
-        original_dims=case.flair.dims,
-        offsets=((0, 0), (0, 0)),
-        thresholds={m: thresholds[m] for m in modalities},
-        normalization={},
-    )
-
-    channel_stacks = []
-    for modality in modalities:
-        vol = volumes[modality]
+    offsets = _target_offsets(case.flair.data.shape, target)
+    samples = np.zeros((case.flair.data.shape[0], len(modalities), *target), np.float32)
+    normalization, degenerate = {}, False
+    for channel, modality in enumerate(modalities):
+        vol = getattr(case, modality)
         # One NaN would turn the masked mean and std, so every sample, to NaN.
         n_bad = vol.data.size - np.count_nonzero(np.isfinite(vol.data))
         if n_bad:
             raise ContractError(f"case {case.subject_id}: {modality} has {n_bad} "
                                 f"non-finite voxel(s)")
-        mask = brain_mask(vol, thresholds[modality])
-        normalized, mean, std, degenerate = gaussian_normalize(vol, mask)
-        record.normalization[modality] = (mean, std)
-        record.brain_masks[modality] = mask
-        record.degenerate = record.degenerate or degenerate
-
-        stack, record.offsets = crop_or_pad_slice(normalized.data, target)
-        channel_stacks.append(stack.astype(np.float32))
-
-    samples = np.stack(channel_stacks, axis=1)  # (n, C, H, W)
+        mask = brain_mask(vol, BRAIN_THRESHOLDS[modality])
+        normalized, mean, std, modality_degenerate = gaussian_normalize(vol, mask)
+        samples[:, channel] = _cut_or_pad(normalized.data, offsets)
+        normalization[modality] = (mean, std)
+        degenerate = degenerate or modality_degenerate
 
     truth = None
     if case.ground_truth is not None:
-        truth = crop_or_pad_slice(case.ground_truth.data, target)[0].astype(bool)
+        truth = _cut_or_pad(case.ground_truth.data, offsets).astype(bool)
 
+    record = PreprocessRecord(original_dims=case.flair.dims, offsets=offsets,
+                              normalization=normalization, degenerate=degenerate)
     return samples, truth, record
 
 
@@ -207,8 +197,8 @@ def write_record(record: PreprocessRecord, path) -> None:
         f"offsets_cols={record.offsets[1][0]},{record.offsets[1][1]}",
         f"degenerate={int(record.degenerate)}",
     ]
-    for modality, thr in record.thresholds.items():
-        lines.append(f"threshold_{modality}={thr!r}")
+    for modality in record.normalization:
+        lines.append(f"threshold_{modality}={BRAIN_THRESHOLDS[modality]!r}")
     for modality, (mean, std) in record.normalization.items():
         lines.append(f"mean_{modality}={mean!r}")
         lines.append(f"std_{modality}={std!r}")

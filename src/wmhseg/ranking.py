@@ -82,6 +82,9 @@ def read_team_csv(path) -> dict[str, dict[str, float | None]]:
             raise ContractError("team CSV must have a 'team' column")
         check_header(reader.fieldnames, path)
         for row in reader:
+            if None in row:
+                raise FormatError(f"{path}, line {reader.line_num}: more cells than the "
+                                  "header has columns")
             if row["team"] in table:
                 raise FormatError(f"{path}, line {reader.line_num}: team {row['team']!r} "
                                   "appears twice")

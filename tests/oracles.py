@@ -3,7 +3,9 @@
 Everything here is deliberately naive (explicit flood fill, all-pairs
 distances, per-pixel resampling, nested-loop convolution, exhaustive sign
 enumeration) or is the straightforward library call the package replaced
-(per-slice ``map_coordinates``), and shares no code with the package.
+(per-slice ``map_coordinates``), and shares no code with the package.  The
+one exception, ``preprocess_case_reference``, composes the package's public
+preprocessing pieces the plain way, to pin how ``preprocess_case`` joins them.
 """
 
 from collections import deque
@@ -11,6 +13,9 @@ from itertools import product
 
 import numpy as np
 from scipy import ndimage
+
+from wmhseg.preprocess import (PreprocessRecord, brain_mask, crop_or_pad_slice,
+                               gaussian_normalize)
 
 
 def neighbor_offsets_3d(connectivity):
@@ -160,6 +165,28 @@ def augment_dataset_reference(samples, labels, factor, transforms):
         out_samples.append(batch_s)
         out_labels.append(batch_l)
     return np.concatenate(out_samples), np.concatenate(out_labels)
+
+
+def preprocess_case_reference(case, target, modalities):
+    """``preprocess_case`` built one modality at a time: brain mask at 70
+    (FLAIR) or 30 (T1), Gaussian normalization, crop or pad to ``target``,
+    a float32 copy, then ``np.stack`` on the channel axis."""
+    thresholds = {"flair": 70.0, "t1": 30.0}
+    stacks, normalization, degenerate = [], {}, False
+    for modality in modalities:
+        vol = getattr(case, modality)
+        mask = brain_mask(vol, thresholds[modality])
+        normalized, mean, std, flat = gaussian_normalize(vol, mask)
+        stack, offsets = crop_or_pad_slice(normalized.data, target)
+        stacks.append(stack.astype(np.float32))
+        normalization[modality] = (mean, std)
+        degenerate = degenerate or flat
+    truth = None
+    if case.ground_truth is not None:
+        truth = crop_or_pad_slice(case.ground_truth.data, target)[0].astype(bool)
+    record = PreprocessRecord(original_dims=case.flair.dims, offsets=offsets,
+                              normalization=normalization, degenerate=degenerate)
+    return np.stack(stacks, axis=1), truth, record
 
 
 def percentile_linear(values, q):

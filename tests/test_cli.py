@@ -206,6 +206,16 @@ class TestEndToEndPipeline:
         assert (out / "gt_aligned.nii.gz").exists()
         record = (out / "record.txt").read_text()
         assert "original_dims=32,32,8" in record
+        kv = dict(line.split("=", 1) for line in record.splitlines())
+        assert list(kv) == ["original_dims", "offsets_rows", "offsets_cols", "degenerate",
+                            "threshold_flair", "threshold_t1", "mean_flair", "std_flair",
+                            "mean_t1", "std_t1"]
+        assert (kv["offsets_rows"], kv["offsets_cols"], kv["degenerate"]) == ("8,8", "8,8", "0")
+        assert (kv["threshold_flair"], kv["threshold_t1"]) == ("70.0", "30.0")
+
+    def test_preprocess_has_no_threshold_options(self, runner):
+        result = invoke(runner, ["preprocess", "--help"])
+        assert "thresh" not in result.output
 
 
 class TestRankCommand:
@@ -298,6 +308,27 @@ class TestConfigFile:
         assert one != five
         assert flair("both", "--seed", "1", "--config", str(cfg)) == one
         assert flair("file", "--config", str(cfg)) == five
+
+    @pytest.mark.parametrize("line, key", [("cuont=2", "cuont"), ("out=somewhere", "out"),
+                                            ("flair_thresh=60", "flair_thresh")])
+    def test_key_no_option_takes(self, runner, tmp_path, line, key):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(f"count=2\n{line}\n")
+        out = tmp_path / "data"
+        result = runner.invoke(main, ["--config", str(cfg), "phantom", "--out", str(out)])
+        assert result.exit_code == 2
+        assert (f"Error: Invalid value for '--config': {cfg}: {key!r} is not the parameter "
+                "name of any option") in result.output
+        assert not out.exists()
+
+    def test_keys_are_parameter_names(self, runner, tmp_path):
+        # out_dir is phantom's, augment_factor is train's: a file may serve both
+        cfg = tmp_path / "defaults.cfg"
+        data = tmp_path / "data"
+        cfg.write_text(f"count=1\ndims=32,32,8\nlesions=2,3\naugment-factor=2\nout_dir={data}\n")
+        invoke(runner, ["--config", str(cfg), "phantom"])
+        assert [r["subject_id"] for r in csv.DictReader(open(data / "manifest.csv"))] == [
+            "phantom_000"]
 
 
 class TestErrorReporting:
@@ -548,6 +579,23 @@ class TestErrorReporting:
         assert lines == [f"ERROR FormatError: {manifest}: no {missing} column"]
         assert not (tmp_path / "m.wmhnet").exists()
 
+    @pytest.mark.parametrize("command", [["split", "--kind", "scanner"],
+                                         ["train", "--epochs", "1"]])
+    def test_manifest_lists_subject_twice(self, runner, tmp_path, command):
+        data = tmp_path / "data"
+        invoke(runner, ["phantom", "--out", str(data), "--count", "3",
+                        "--dims", "32,32,8", "--lesions", "2,3"])
+        manifest = data / "manifest.csv"
+        rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*rows, rows[1]]) + "\n")
+        out = tmp_path / "out"
+        code, lines = run_failing(runner, [command[0], "--data", str(data), *command[1:],
+                                           "--out", str(out)])
+        assert code == 2
+        assert lines == [f"ERROR FormatError: {manifest}, line 5: subject 'phantom_000' "
+                         "appears twice"]
+        assert not out.exists()
+
     def test_preprocess_out_under_a_file(self, runner, tmp_path):
         data = tmp_path / "data"
         invoke(runner, ["phantom", "--out", str(data), "--count", "1",
@@ -587,8 +635,10 @@ class TestErrorReporting:
         ("rank", "team,dsc,dsc\nx,0.8,0.7\ny,0.6,0.5\n",
          "column 'dsc' appears twice in the header"),
         ("rank", "team,dsc\nx,0.8\ny,0.6\nx,0.7\n", "line 4: team 'x' appears twice"),
+        ("rank", "team,dsc\nx,0.8\ny,0.6,0.9\n", "line 3: more cells than the header has columns"),
+        ("stats", "a,b\n1,2\n1,2,3\n", "line 3: more cells than the header has columns"),
     ], ids=["rank-cell", "stats-cell", "stats-empty", "rank-empty", "stats-repeated-column",
-            "rank-repeated-column", "rank-repeated-team"])
+            "rank-repeated-column", "rank-repeated-team", "rank-extra-cell", "stats-extra-cell"])
     def test_malformed_scoring_csv(self, runner, tmp_path, command, text, message):
         path = tmp_path / "in.csv"
         path.write_text(text)

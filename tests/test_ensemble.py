@@ -109,8 +109,7 @@ class TestThresholdMap:
 
 
 def record_for(dims, offsets=((0, 0), (0, 0))):
-    return PreprocessRecord(original_dims=dims, offsets=offsets,
-                            thresholds={}, normalization={})
+    return PreprocessRecord(original_dims=dims, offsets=offsets, normalization={})
 
 
 class TestPostprocess:

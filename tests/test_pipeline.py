@@ -153,3 +153,12 @@ class TestDatasets:
         manifest.write_text(header + "\n" if header else "")
         with pytest.raises(FormatError, match=f"^{re.escape(str(manifest))}: no {missing} column$"):
             datasets.load_dataset(tmp_path)
+
+    def test_subject_listed_twice(self, cases, tmp_path):
+        datasets.save_dataset(cases, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.csv"
+        with open(manifest, "a") as f:
+            f.write(f"{cases[0].subject_id},scanner_b\n")
+        message = f"{manifest}, line 5: subject {cases[0].subject_id!r} appears twice"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            datasets.load_dataset(tmp_path / "d")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wmhseg.errors import ContractError
 from wmhseg.grids import BinaryMask3D, Volume3D, fill_holes_2d, largest_component_2d
+from wmhseg.phantom import PhantomSpec, phantom_generate
 from wmhseg.preprocess import (
     CaseRecord,
     brain_mask,
@@ -15,7 +16,7 @@ from wmhseg.preprocess import (
     write_record,
 )
 
-from oracles import flood_fill_components_2d
+from oracles import flood_fill_components_2d, preprocess_case_reference
 
 
 class TestCropOrPad:
@@ -224,11 +225,69 @@ class TestPreprocessCase:
         _, truth, _ = preprocess_case(case, target=(64, 64))
         assert truth.dtype == bool
 
+    @pytest.mark.parametrize("target", [(0, 48), (48, -1)])
+    def test_bad_target_rejected_before_any_work(self, target):
+        case = make_case()
+        case.flair.data[1, 16, 16] = np.nan
+        with pytest.raises(ContractError, match=r"target dims must be positive, got \("):
+            preprocess_case(case, target=target)
+
     def test_case_requires_aligned_grids(self):
         case = make_case()
         with pytest.raises(ContractError):
             CaseRecord("x", "a", case.flair,
                        Volume3D(np.zeros((2, 8, 8)), case.flair.spacing))
+
+
+def phantom_case(dims=(36, 28, 8), seed=11):
+    return phantom_generate(PhantomSpec(dims=dims, lesion_count_range=(2, 3), seed=seed), 1)[0]
+
+
+class TestMatchesReference:
+    """``preprocess_case`` gives the bytes of the per-modality construction."""
+
+    @staticmethod
+    def check(case, target, modalities=("flair", "t1")):
+        samples, truth, record = preprocess_case(case, target=target, modalities=modalities)
+        want_samples, want_truth, want_record = preprocess_case_reference(case, target, modalities)
+        assert samples.dtype == want_samples.dtype == np.float32
+        assert samples.shape == want_samples.shape
+        assert samples.tobytes() == want_samples.tobytes()
+        if want_truth is None:
+            assert truth is None
+        else:
+            assert truth.dtype == want_truth.dtype and truth.shape == want_truth.shape
+            assert truth.tobytes() == want_truth.tobytes()
+        assert record == want_record
+        return record
+
+    @pytest.mark.parametrize("target", [(28, 36), (20, 24), (48, 40), (21, 45)],
+                             ids=["same", "crop", "pad", "crop-rows-pad-cols"])
+    def test_both_modalities(self, target):
+        record = self.check(phantom_case(), target)
+        assert not record.degenerate and list(record.normalization) == ["flair", "t1"]
+
+    @pytest.mark.parametrize("target", [(20, 24), (48, 40)], ids=["crop", "pad"])
+    def test_flair_only(self, target):
+        record = self.check(phantom_case(seed=12), target, modalities=("flair",))
+        assert list(record.normalization) == ["flair"]
+
+    def test_all_zero_case_is_degenerate(self):
+        case = phantom_case(seed=13)
+        case.flair.data[:] = 0
+        case.t1.data[:] = 0
+        record = self.check(case, (32, 32))
+        assert record.degenerate
+
+    def test_first_modality_degenerate(self):
+        case = phantom_case(seed=14)
+        case.flair.data[:] = 0
+        assert self.check(case, (32, 32)).degenerate
+
+    def test_without_truth(self):
+        case = phantom_case(seed=15)
+        case.ground_truth = None
+        self.check(case, (24, 30))
 
 
 def test_record_round_trip(tmp_path):
@@ -240,7 +299,7 @@ def test_record_round_trip(tmp_path):
     assert tuple(map(int, kv["original_dims"].split(","))) == record.original_dims
     assert (tuple(map(int, kv["offsets_rows"].split(","))),
             tuple(map(int, kv["offsets_cols"].split(",")))) == record.offsets
-    assert {m: float(kv[f"threshold_{m}"]) for m in record.thresholds} == record.thresholds
+    assert (kv["threshold_flair"], kv["threshold_t1"]) == ("70.0", "30.0")
     assert bool(int(kv["degenerate"])) == record.degenerate
     for modality in record.normalization:
         np.testing.assert_allclose((float(kv[f"mean_{modality}"]), float(kv[f"std_{modality}"])),

@@ -133,6 +133,17 @@ class TestCSV:
         table = read_team_csv(path)
         assert "h95" not in table["alpha"]
 
+    def test_short_row_reads_as_absent(self, tmp_path):
+        path = tmp_path / "teams.csv"
+        path.write_text("team,dsc,h95_mm\nalpha,0.8\nbeta,0.7,6.0\n")
+        assert read_team_csv(path)["alpha"] == {"dsc": 0.8}
+
+    def test_row_longer_than_header(self, tmp_path):
+        path = tmp_path / "teams.csv"
+        path.write_text("team,dsc\nalpha,0.8\nbeta,0.7,0.9\n")
+        with pytest.raises(FormatError, match=r"teams\.csv, line 3: more cells than the header"):
+            read_team_csv(path)
+
     def test_missing_team_column(self, tmp_path):
         path = tmp_path / "teams.csv"
         path.write_text("name,dsc\nalpha,0.8\n")
