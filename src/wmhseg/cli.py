@@ -2,8 +2,9 @@
 
 Subcommands: phantom, split, preprocess, train, predict, evaluate, rank,
 sweep, stats.  Global flags --seed and --config FILE (key=value lines of
-option defaults keyed by parameter name, such as out_dir; a key that no
-option takes is an error, and a flag given on the command line wins).  Exit
+option defaults keyed by parameter name, such as out_dir; blank and "#"
+lines are skipped, any other line without "=" or a key that no option takes
+is an error, and a flag given on the command line wins).  Exit
 code is 0 on success; failures print one machine-readable line
 "ERROR <kind>: <message>" to stderr and exit nonzero.
 """
@@ -22,9 +23,9 @@ from click.core import ParameterSource
 from . import datasets
 from .augment import augment_dataset
 from .ensemble import EnsembleConfig
-from .errors import ContractError, FormatError, WmhsegError
+from .errors import ContractError, WmhsegError
 from .grids import BinaryMask3D, Volume3D
-from .metrics import check_header, evaluate_case, parse_cell
+from .metrics import evaluate_case, parse_cell, read_table
 from .net.training import TrainConfig, train
 from .net.unet import build_unet
 from .net.weights_io import load_weights, save_weights
@@ -40,13 +41,16 @@ from .sweep import ensemble_sweep
 TARGET_TEXT = ",".join(map(str, DEFAULT_TARGET))
 
 
-def _load_config_defaults(path) -> dict:
+def _load_config_defaults(path, ctx, param) -> dict:
     defaults = {}
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise click.BadParameter(f"{path}, line {number}: {line!r} is not a "
+                                         "key=value line", ctx, param)
             key, value = (s.strip() for s in line.split("=", 1))
             defaults[key.replace("-", "_")] = value
     return defaults
@@ -79,8 +83,8 @@ def main(ctx, seed, config_file):
     ctx.ensure_object(dict)
     ctx.obj["seed"] = seed
     if config_file:
-        defaults = _load_config_defaults(config_file)
         params = {p.name: p for p in ctx.command.params}
+        defaults = _load_config_defaults(config_file, ctx, params["config_file"])
         known = {"seed"} | {p.name for cmd in main.commands.values() for p in cmd.params}
         unknown = [key for key in defaults if key not in known]
         if unknown:
@@ -279,20 +283,12 @@ def sweep(ctx, data_dir, sizes, repeats, epochs, batch, lr, base_width, out_csv)
 @click.option("--out", "out_csv", default=None, type=click.Path())
 def stats(input_csv, out_csv):
     """Wilcoxon signed-rank p-values per column, FDR-adjusted across columns."""
-    with open(input_csv, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{input_csv} is empty")
-        check_header(header, input_csv)
-        columns = {name: [] for name in header}
-        for row in reader:
-            if len(row) > len(header):
-                raise FormatError(f"{input_csv}, line {reader.line_num}: more cells than the "
-                                  "header has columns")
-            for name, value in zip(header, row):
-                if value != "":
-                    columns[name].append(parse_cell(value, input_csv, reader.line_num, name))
+    header, records = read_table(input_csv)
+    columns = {name: [] for name in header}
+    for line, row in records:
+        for name, value in row.items():
+            if value != "":
+                columns[name].append(parse_cell(value, input_csv, line, name))
     p_values = [wilcoxon_signed_rank(np.array(columns[name])) for name in header]
     rows = list(zip(header, p_values, benjamini_hochberg(p_values).tolist()))
     for name, p, adj in rows:

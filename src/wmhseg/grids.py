@@ -3,13 +3,7 @@
 Volumes are stored axial-slice-major: ``data[z, y, x]``, so per-slice
 operations touch contiguous memory.  ``dims`` follows the (nx, ny, nz)
 convention of the NIfTI header, ``spacing`` is (sx, sy, sz) in mm.
-
-3D labeling and boundary extraction run on the foreground's bounding box,
-not the whole grid.  A lesion mask is sparse (the scoring benchmark's are
-about 0.1 % foreground, in a box a quarter to a third of the grid), so a
-pass over its box costs a fraction of one over the grid; a dense mask's box
-is the grid, and it costs what a full-grid pass does.  Labeling and hole
-filling are ``scipy.ndimage`` calls.
+Labeling and hole filling are ``scipy.ndimage`` calls.
 """
 
 from __future__ import annotations
@@ -31,17 +25,6 @@ def _structure_3d(connectivity: int) -> np.ndarray:
         raise ContractError(f"3D connectivity must be 6, 18 or 26, got {connectivity}")
     order = {6: 1, 18: 2, 26: 3}[connectivity]
     return ndimage.generate_binary_structure(3, order)
-
-
-def _bounding_box(data: np.ndarray):
-    """Slices of the smallest box holding all foreground; None if there is none."""
-    z = np.flatnonzero(data.any(axis=(1, 2)))
-    if z.size == 0:
-        return None
-    plane = data[z[0]:z[-1] + 1].any(axis=0)
-    y = np.flatnonzero(plane.any(axis=1))
-    x = np.flatnonzero(plane.any(axis=0))
-    return slice(z[0], z[-1] + 1), slice(y[0], y[-1] + 1), slice(x[0], x[-1] + 1)
 
 
 @dataclass
@@ -108,16 +91,9 @@ def connected_components_3d(mask: BinaryMask3D, connectivity: int = 26) -> Compo
     Labels are deterministic: component k is the k-th one encountered in a
     (z, y, x) raster scan.  ``ndimage.label`` already numbers them so, since
     it hands out provisional labels in scan order and merges each component
-    into its smallest one; it labels only the foreground's bounding box,
-    whose scan visits the foreground in the same order.  An empty mask
-    yields count 0.
+    into its smallest one.  An empty mask yields count 0.
     """
-    structure = _structure_3d(connectivity)
-    labels = np.zeros(mask.data.shape, dtype=np.int32)
-    box = _bounding_box(mask.data)
-    if box is None:
-        return ComponentLabeling(labels=labels, count=0)
-    count = ndimage.label(mask.data[box], structure=structure, output=labels[box])
+    labels, count = ndimage.label(mask.data, structure=_structure_3d(connectivity))
     return ComponentLabeling(labels=labels, count=int(count))
 
 
@@ -151,10 +127,7 @@ def boundary_voxels(mask: BinaryMask3D) -> np.ndarray:
     Voxels on the grid border count as boundary (outside is background).
     Returns an (n, 3) integer array in raster order, empty for an empty mask.
     """
-    box = _bounding_box(mask.data)
-    if box is None:
-        return np.zeros((0, 3), dtype=np.int64)
-    m = mask.data[box]
+    m = mask.data
     padded = np.pad(m, 1, mode="constant", constant_values=False)
     interior = np.ones_like(m, dtype=bool)
     for dz, dy, dx in _NEIGHBORS_6:
@@ -163,6 +136,4 @@ def boundary_voxels(mask: BinaryMask3D) -> np.ndarray:
             1 + dy : 1 + dy + m.shape[1],
             1 + dx : 1 + dx + m.shape[2],
         ]
-    coords = np.argwhere(m & ~interior)
-    coords += [s.start for s in box]
-    return coords
+    return np.argwhere(m & ~interior)

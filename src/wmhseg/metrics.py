@@ -10,6 +10,7 @@ for the affected metrics rather than an arbitrary number.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -54,11 +55,30 @@ def parse_cell(text: str, path, line: int, column: str) -> float:
     return value
 
 
-def check_header(header, path) -> None:
-    """FormatError naming the first column a scoring CSV's header repeats."""
-    repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:
-        raise FormatError(f"{path}: column {repeated[0]!r} appears twice in the header")
+def read_table(path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """A scoring CSV's header and its non-blank rows as (line, column -> cell).
+
+    A short row leaves its missing cells out.  An empty file, a blank header,
+    a repeated column or a row longer than the header is a FormatError.
+    """
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path} is empty")
+        if not header:
+            raise FormatError(f"{path}, line 1: the header line is blank")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise FormatError(f"{path}: column {repeated[0]!r} appears twice in the header")
+        rows = []
+        for cells in reader:
+            if len(cells) > len(header):
+                raise FormatError(f"{path}, line {reader.line_num}: more cells than the "
+                                  "header has columns")
+            if cells:
+                rows.append((reader.line_num, dict(zip(header, cells))))
+    return header, rows
 
 
 def _check_aligned(truth: BinaryMask3D, pred: BinaryMask3D):
@@ -66,6 +86,19 @@ def _check_aligned(truth: BinaryMask3D, pred: BinaryMask3D):
         raise ContractError(
             f"mask shapes differ: {truth.data.shape} vs {pred.data.shape}"
         )
+    if not all(math.isclose(a, b, rel_tol=1e-6) for a, b in zip(truth.spacing, pred.spacing)):
+        raise ContractError(f"mask spacings differ: {truth.spacing} vs {pred.spacing}")
+
+
+def _bounding_box(data: np.ndarray):
+    """Slices of the smallest box holding all foreground; zero-size if none."""
+    z = np.flatnonzero(data.any(axis=(1, 2)))
+    if z.size == 0:
+        return (slice(0, 0),) * 3
+    plane = data[z[0]:z[-1] + 1].any(axis=0)
+    y = np.flatnonzero(plane.any(axis=1))
+    x = np.flatnonzero(plane.any(axis=0))
+    return slice(z[0], z[-1] + 1), slice(y[0], y[-1] + 1), slice(x[0], x[-1] + 1)
 
 
 def dsc(truth: BinaryMask3D, pred: BinaryMask3D) -> float:
@@ -138,11 +171,17 @@ def lesion_f1(truth: BinaryMask3D, pred: BinaryMask3D):
 
 
 def evaluate_case(truth: BinaryMask3D, pred: BinaryMask3D, spacing=None) -> MetricReport:
-    """All five metrics for one case."""
+    """All five metrics for one case, scored on the smallest box holding both
+    masks' foreground: both are background outside it, so the box keeps every
+    lesion, overlap and boundary voxel, and its origin cancels in distances."""
+    _check_aligned(truth, pred)
+    box = _bounding_box(truth.data | pred.data)
+    spacing = spacing if spacing is not None else truth.spacing
+    truth, pred = (BinaryMask3D(m.data[box], spacing) for m in (truth, pred))
     recall, f1 = _lesion_scores(truth, pred)
     return MetricReport(
         dsc=dsc(truth, pred),
-        h95=hausdorff95(truth, pred, spacing),
+        h95=hausdorff95(truth, pred),
         avd=avd(truth, pred),
         recall=recall,
         f1=f1,

@@ -37,6 +37,8 @@ class PhantomSpec:
     scanners: tuple[str, ...] = DEFAULT_SCANNERS
 
     def __post_init__(self):
+        if min(self.dims) < 1:
+            raise ConfigurationError(f"dims must be >= 1, got {','.join(map(str, self.dims))}")
         low, high = self.lesion_count_range
         if not 0 <= low <= high:
             raise ConfigurationError(

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .errors import ContractError, FormatError
-from .metrics import COLUMN, HIGHER_BETTER, METRIC_NAMES, check_header, parse_cell
+from .metrics import COLUMN, HIGHER_BETTER, METRIC_NAMES, parse_cell, read_table
 
 
 @dataclass
@@ -73,23 +73,18 @@ def read_team_csv(path) -> dict[str, dict[str, float | None]]:
     """Read a team table CSV: a ``team`` column and the metric columns
     ``MetricReport.as_row`` writes (H95 may also be headed ``h95``)."""
     columns = {COLUMN[m]: m for m in METRIC_NAMES} | {"h95": "h95"}
+    header, rows = read_table(path)
+    if "team" not in header:
+        raise ContractError("team CSV must have a 'team' column")
     table = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path} is empty")
-        if "team" not in reader.fieldnames:
-            raise ContractError("team CSV must have a 'team' column")
-        check_header(reader.fieldnames, path)
-        for row in reader:
-            if None in row:
-                raise FormatError(f"{path}, line {reader.line_num}: more cells than the "
-                                  "header has columns")
-            if row["team"] in table:
-                raise FormatError(f"{path}, line {reader.line_num}: team {row['team']!r} "
-                                  "appears twice")
-            table[row["team"]] = {metric: parse_cell(row[col], path, reader.line_num, col)
-                                  for col, metric in columns.items() if row.get(col)}
+    for line, row in rows:
+        team = row.get("team")
+        if not team:
+            raise FormatError(f"{path}, line {line}: the row names no team")
+        if team in table:
+            raise FormatError(f"{path}, line {line}: team {team!r} appears twice")
+        table[team] = {metric: parse_cell(row[col], path, line, col)
+                       for col, metric in columns.items() if row.get(col)}
     return table
 
 

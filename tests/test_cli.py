@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from wmhseg import cli, sweep
 from wmhseg.cli import main
+from wmhseg.grids import BinaryMask3D
 from wmhseg.net.unet import build_unet, init_weights
 from wmhseg.net.weights_io import save_weights
 from wmhseg.nifti import read_nifti, read_nifti_mask, write_nifti
@@ -258,6 +259,19 @@ class TestRankCommand:
                             "score_f1": "0.000000", "score": "0.000000"}
 
 
+class TestScoringCsv:
+    @pytest.mark.parametrize("command, option, text", [
+        ("rank", "--table", "team,dsc\nx,0.8\ny,0.6\nz,0.7\n"),
+        ("stats", "--input", "a,b\n1,2\n3,-1\n5,4\n2,7\n4,-3\n6,1\n-1,5\n"),
+    ], ids=["rank", "stats"])
+    def test_blank_rows_skipped(self, runner, tmp_path, command, option, text):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text(text)
+        spaced.write_text(text.replace("\n", "\n\n", 2) + "\n")
+        expected = invoke(runner, [command, option, str(plain)]).output
+        assert invoke(runner, [command, option, str(spaced)]).output == expected
+
+
 class TestStatsCommand:
     def test_per_column_p_values(self, runner, tmp_path):
         rng = np.random.default_rng(0)
@@ -321,6 +335,16 @@ class TestConfigFile:
                 "name of any option") in result.output
         assert not out.exists()
 
+    def test_line_without_equals_sign(self, runner, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("# defaults\n\ncount 1\n")
+        out = tmp_path / "data"
+        result = runner.invoke(main, ["--config", str(cfg), "phantom", "--out", str(out)])
+        assert result.exit_code == 2
+        assert (f"Error: Invalid value for '--config': {cfg}, line 3: 'count 1' is not a "
+                "key=value line") in result.output
+        assert not out.exists()
+
     def test_keys_are_parameter_names(self, runner, tmp_path):
         # out_dir is phantom's, augment_factor is train's: a file may serve both
         cfg = tmp_path / "defaults.cfg"
@@ -364,6 +388,26 @@ class TestErrorReporting:
         assert lines == ["ERROR ConfigurationError: lesion count range must satisfy "
                          f"0 <= low <= high, got {lesions}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("dims", ["64,64,0", "0,64,16"])
+    def test_phantom_rejects_empty_dims(self, runner, tmp_path, dims):
+        out = tmp_path / "data"
+        code, lines = run_failing(runner, ["phantom", "--out", str(out), "--dims", dims])
+        assert code == 2
+        assert lines == [f"ERROR ConfigurationError: dims must be >= 1, got {dims}"]
+        assert not out.exists()
+
+    def test_evaluate_rejects_pair_with_other_spacing(self, runner, tmp_path):
+        data = np.zeros((8, 16, 16), bool)
+        data[3:5, 4:9, 6:10] = True
+        write_nifti(BinaryMask3D(data, (1.0, 1.0, 3.0)), tmp_path / "fine.nii.gz")
+        write_nifti(BinaryMask3D(data, (2.0, 2.0, 6.0)), tmp_path / "coarse.nii.gz")
+        for gt, pred in (("fine", "coarse"), ("coarse", "fine")):
+            code, lines = run_failing(runner, ["evaluate", "--gt", str(tmp_path / f"{gt}.nii.gz"),
+                                               "--pred", str(tmp_path / f"{pred}.nii.gz")])
+            assert code == 2
+            assert len(lines) == 1
+            assert lines[0].startswith("ERROR ContractError: mask spacings differ: ")
 
     def test_phantom_rejects_dim_beyond_nifti_range(self, runner, tmp_path):
         out = tmp_path / "data"
@@ -637,8 +681,12 @@ class TestErrorReporting:
         ("rank", "team,dsc\nx,0.8\ny,0.6\nx,0.7\n", "line 4: team 'x' appears twice"),
         ("rank", "team,dsc\nx,0.8\ny,0.6,0.9\n", "line 3: more cells than the header has columns"),
         ("stats", "a,b\n1,2\n1,2,3\n", "line 3: more cells than the header has columns"),
+        ("rank", "\nteam,dsc\nx,0.8\ny,0.6\n", "line 1: the header line is blank"),
+        ("stats", "\na,b\n1,2\n", "line 1: the header line is blank"),
+        ("rank", "dsc,team\n0.8,a\n0.6\n", "line 3: the row names no team"),
     ], ids=["rank-cell", "stats-cell", "stats-empty", "rank-empty", "stats-repeated-column",
-            "rank-repeated-column", "rank-repeated-team", "rank-extra-cell", "stats-extra-cell"])
+            "rank-repeated-column", "rank-repeated-team", "rank-extra-cell", "stats-extra-cell",
+            "rank-blank-header", "stats-blank-header", "rank-no-team"])
     def test_malformed_scoring_csv(self, runner, tmp_path, command, text, message):
         path = tmp_path / "in.csv"
         path.write_text(text)

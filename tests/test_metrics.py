@@ -6,6 +6,7 @@ from wmhseg.grids import BinaryMask3D
 from wmhseg.metrics import avd, dsc, evaluate_case, hausdorff95, lesion_f1, lesion_recall
 
 from oracles import dsc_oracle, hausdorff95_allpairs, lesion_counts_oracle
+from test_grids import INSET, ROW_WRAP, SLICE_WRAP
 
 SPACING = (1.0, 1.0, 1.0)
 
@@ -57,6 +58,25 @@ class TestDSC:
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             dsc(mask(np.zeros((2, 4, 4))), mask(np.zeros((2, 5, 5))))
+
+
+class TestSpacing:
+    @pytest.mark.parametrize("metric", [dsc, hausdorff95, avd, lesion_recall, lesion_f1,
+                                        evaluate_case])
+    def test_mismatch_rejected(self, metric):
+        data = np.zeros((2, 4, 4), bool)
+        data[1, 1:3, 1:3] = True
+        with pytest.raises(ContractError, match=r"mask spacings differ: "
+                                                r"\(1\.0, 1\.0, 3\.0\) vs \(2\.0, 2\.0, 6\.0\)"):
+            metric(mask(data, (1.0, 1.0, 3.0)), mask(data, (2.0, 2.0, 6.0)))
+
+    def test_float32_rounding_is_aligned(self):
+        # a NIfTI header stores pixdim as float32
+        spacing = (0.95, 0.9375, 3.3)
+        stored = tuple(float(np.float32(s)) for s in spacing)
+        assert stored != spacing
+        ones = np.ones((2, 4, 4))
+        assert dsc(mask(ones, spacing), mask(ones, stored)) == 1.0
 
 
 class TestHausdorff95:
@@ -214,3 +234,58 @@ class TestEvaluateCase:
         report = evaluate_case(mask(g), mask(p))
         assert report.recall == pytest.approx(1 / 3)  # 1 of 3 truth lesions
         assert report.f1 == pytest.approx(1 / 2)  # 1 of 2 predicted lesions
+
+
+def _embed(layout, shape, origin):
+    data = np.zeros(shape, bool)
+    data[tuple(slice(o, o + n) for o, n in zip(origin, layout.shape))] = layout
+    return data
+
+
+def _first_voxel(layout):
+    only = np.zeros_like(layout)
+    only.flat[np.flatnonzero(layout)[0]] = True
+    return only
+
+
+def _boxed_pairs():
+    """(id, truth, pred) pairs whose foreground fills only part of the grid."""
+    pairs = []
+    for name, layout in (("row-wrap", ROW_WRAP), ("slice-wrap", SLICE_WRAP), ("inset", INSET)):
+        shape = tuple(n + 4 for n in layout.shape)
+        for where, origin in (("low-edges", (0, 0, 0)), ("high-edges", (4, 4, 4)),
+                              ("inside", (1, 3, 2))):
+            whole = _embed(layout, shape, origin)
+            part = _embed(_first_voxel(layout), shape, origin)
+            pairs += [(f"{name}-{where}", whole, part), (f"{name}-{where}-swapped", part, whole)]
+    rng = np.random.default_rng(24)
+    shape, sub_box = (9, 20, 24), (slice(2, 7), slice(5, 16), slice(3, 19))
+
+    def confined(density):
+        data = np.zeros(shape, bool)
+        data[sub_box] = rng.random(data[sub_box].shape) < density
+        return data
+
+    empty = np.zeros(shape, bool)
+    pairs += [("random-sparse", confined(0.03), confined(0.03)),
+              ("random-dense", confined(0.5), confined(0.5)),
+              ("empty-pred", confined(0.03), empty), ("empty-truth", empty, confined(0.03)),
+              ("both-empty", empty, empty)]
+    return [pytest.param(truth, pred, id=name) for name, truth, pred in pairs]
+
+
+@pytest.mark.parametrize("truth, pred", _boxed_pairs())
+def test_evaluate_case_equals_full_grid_metrics(truth, pred):
+    # evaluate_case scores the pair's foreground box; the metric functions
+    # here run on the whole grid.
+    g, p = mask(truth, (0.96, 0.95, 3.0)), mask(pred, (0.96, 0.95, 3.0))
+    report = evaluate_case(g, p)
+    assert report.dsc == dsc(g, p)
+    assert report.avd == avd(g, p)
+    assert report.recall == lesion_recall(g, p)
+    assert report.f1 == lesion_f1(g, p)
+    h95 = hausdorff95(g, p)
+    if h95 is None:
+        assert report.h95 is None
+    else:
+        assert report.h95 == pytest.approx(h95, rel=1e-12, abs=0)

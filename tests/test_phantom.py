@@ -35,6 +35,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="noise std must be >= 0"):
             PhantomSpec(noise_std=-5.0)
 
+    @pytest.mark.parametrize("dims", [(64, 64, 0), (0, 64, 16), (8, -1, 8)])
+    def test_dims_at_least_one(self, dims):
+        with pytest.raises(ConfigurationError, match="dims must be >= 1"):
+            PhantomSpec(dims=dims)
+
     def test_lesion_must_fit(self):
         with pytest.raises(ConfigurationError):
             PhantomSpec(dims=(8, 8, 16), lesion_radius_range=(1.5, 10.0))

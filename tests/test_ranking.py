@@ -144,6 +144,13 @@ class TestCSV:
         with pytest.raises(FormatError, match=r"teams\.csv, line 3: more cells than the header"):
             read_team_csv(path)
 
+    def test_empty_team_cell(self, tmp_path):
+        # a row too short to reach the team column: test_cli's rank-no-team
+        path = tmp_path / "teams.csv"
+        path.write_text("dsc,team\n0.8,a\n0.6,\n")
+        with pytest.raises(FormatError, match=r"teams\.csv, line 3: the row names no team"):
+            read_team_csv(path)
+
     def test_missing_team_column(self, tmp_path):
         path = tmp_path / "teams.csv"
         path.write_text("name,dsc\nalpha,0.8\n")
